@@ -426,21 +426,17 @@ fn speedup_thread_axis() -> Vec<usize> {
 
 /// The parallel-exploration speedup series: the n=3 acceptance row swept
 /// across the thread axis, with a hard parity assertion on every point.
-/// Wall-clock ratios are recorded as measured — on the single-vCPU CI box
-/// the honest answer is ~1x (parity, not speedup, is the gate there); the
+/// Wall-clock ratios are recorded as measured — on a small CI box the
+/// honest answer is ~1x (parity, not speedup, is the gate there); the
 /// series exists so multi-core boxes get a real scaling figure from the
 /// same command.
 ///
 /// Parity discipline on this row: the n=3 search is **depth-bounded** (lap
-/// counters grow without bound, so no depth completes it), and at a depth
-/// cutoff the explored subset is traversal-order-dependent — the sharded
-/// engine's breadth-first waves see every state at its *minimum* depth and
-/// so legally explore a few more states than the sequential depth-first
-/// engine. Verdicts must still agree with the sequential baseline, and all
-/// sharded thread counts must agree with each other **exactly** (the wave
-/// set is canonical, independent of worker count). Complete searches get
-/// the stronger sequential-equal-states guarantee; that is gated in
-/// `tests/sharded_parity.rs` and the library tests, not here.
+/// counters grow without bound, so no depth completes it), and every
+/// thread count — the inline t=1 FIFO run included — discovers each state
+/// at its minimum depth. Every point must therefore report exactly the t=1
+/// verdict, states, terminal states and `deepest`: the depth-14 ball of
+/// 10,689 configurations.
 fn parallel_speedup(points: &mut Vec<(f64, f64)>) {
     println!("\n====== parallel exploration speedup (alg1 n=3 [0,1,1], depth=14) ======");
     let p = SwapKSet::consensus(3, 2);
@@ -454,19 +450,14 @@ fn parallel_speedup(points: &mut Vec<(f64, f64)>) {
     );
     let _ = writeln!(
         rows,
-        "# depth-bounded row: sharded waves explore the canonical min-depth set,"
-    );
-    let _ = writeln!(
-        rows,
-        "# so t>=2 state counts match each other, not the depth-first t=1 count"
+        "# depth-bounded row: every thread count explores the same min-depth ball"
     );
     let _ = writeln!(
         rows,
         "{:>8} {:>10} {:>10} {:>12} {:>9}",
         "threads", "states", "secs", "states/s", "speedup"
     );
-    let mut sequential: Option<(CheckReport, f64)> = None;
-    let mut sharded_reference: Option<CheckReport> = None;
+    let mut t1: Option<(CheckReport, f64)> = None;
     for &t in &axis {
         let threaded = checker.with_threads(t);
         let (states, secs) = best_of_3(|| {
@@ -475,27 +466,21 @@ fn parallel_speedup(points: &mut Vec<(f64, f64)>) {
             report.states
         });
         let report = threaded.check(&p, &[0, 1, 1]);
-        let (speedup_label, speedup) = match &sequential {
+        let (speedup_label, speedup) = match &t1 {
             None => ("baseline".to_string(), 1.0),
-            Some((seq, seq_secs)) => {
+            Some((base, base_secs)) => {
                 assert!(
-                    seq.same_verdict(&report),
-                    "t={t}: sharded verdict diverged: {seq} vs {report}"
+                    base.same_verdict(&report)
+                        && (base.states, base.terminal_states, base.deepest)
+                            == (report.states, report.terminal_states, report.deepest),
+                    "t={t}: report diverged from t=1: {base} vs {report}"
                 );
-                assert_eq!(seq.deepest, report.deepest, "t={t}: depth horizon moved");
-                match &sharded_reference {
-                    None => sharded_reference = Some(report.clone()),
-                    Some(reference) => assert!(
-                        reference.same_verdict(&report) && reference.states == report.states,
-                        "t={t}: sharded runs disagree with each other: {reference} vs {report}"
-                    ),
-                }
-                let speedup = seq_secs / secs;
-                (format!("{speedup:.2}x vs sequential"), speedup)
+                let speedup = base_secs / secs;
+                (format!("{speedup:.2}x vs t=1"), speedup)
             }
         };
-        if sequential.is_none() {
-            sequential = Some((report, secs));
+        if t1.is_none() {
+            t1 = Some((report, secs));
         }
         let _ = writeln!(
             rows,

@@ -17,17 +17,15 @@
 //! * otherwise the verdict is the best-effort [`Valency::Unknown`] — the
 //!   Section 5 drivers treat it conservatively and record the cutoff.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use swapcons_sim::canon::{apply_renaming, DedupSet};
-use swapcons_sim::engine::{
-    Budget, Control, EdgeCtx, Engine, GroupRestricted, Lifo, NodeCtx, Visitor,
-};
-use swapcons_sim::search::ScheduleArena;
-use swapcons_sim::shard::{run_sharded, ShardOptions, ShardVisitor, StripedDedup, WitnessRef};
+use swapcons_sim::engine::{Budget, Control, EdgeCtx, Engine, GroupRestricted, NodeCtx, Visitor};
 use swapcons_sim::{Canonicalizer, Configuration, ProcessId, Protocol, SimError};
 
 /// Three-valued valency verdict for a process group.
@@ -100,6 +98,69 @@ impl ValencyResult {
     }
 }
 
+/// Decided values seen by any worker of one query, shared so that
+/// bivalence stops the whole search. `bivalent` is the cheap flag every
+/// visited node reads; the set is locked only when a worker meets a value
+/// for the first time. The flag is a stop hint that publishes no other
+/// data (witnesses are merged after the join), so `Relaxed` suffices.
+struct SeenValues {
+    values: Mutex<HashSet<u64>>,
+    bivalent: AtomicBool,
+}
+
+/// The oracle's strategy — its one visitor, inline and sharded alike:
+/// collect decided values per generated edge (even edges to already-known
+/// configurations), stop the moment bivalence is established — whatever
+/// remains unexplored cannot change the verdict — and treat schema
+/// rejections as skipped (hence incomplete) work rather than aborting.
+/// Each worker keeps the first schedule it finds per value; the query
+/// merges the workers afterwards.
+struct OracleVisitor<'a> {
+    seen: &'a SeenValues,
+    witnesses: HashMap<u64, Vec<ProcessId>>,
+}
+
+impl<P: Protocol> Visitor<P> for OracleVisitor<'_> {
+    fn enter(
+        &mut self,
+        _protocol: &P,
+        _config: &Configuration<P>,
+        _ctx: &NodeCtx<'_>,
+        _candidates: &[swapcons_sim::Action],
+    ) -> Control {
+        if self.seen.bivalent.load(Ordering::Relaxed) {
+            Control::Stop
+        } else {
+            Control::Continue
+        }
+    }
+
+    fn edge(
+        &mut self,
+        _protocol: &P,
+        _child: &Configuration<P>,
+        decided: Option<u64>,
+        _is_new: bool,
+        ctx: &EdgeCtx<'_>,
+    ) -> Control {
+        if let Some(v) = decided {
+            if let Entry::Vacant(e) = self.witnesses.entry(v) {
+                e.insert(ctx.schedule());
+                let mut values = self.seen.values.lock().expect("seen-set lock");
+                values.insert(v);
+                if values.len() >= 2 {
+                    self.seen.bivalent.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        Control::Continue
+    }
+
+    fn step_error(&mut self, _protocol: &P, _error: SimError, _ctx: &EdgeCtx<'_>) -> Control {
+        Control::Continue
+    }
+}
+
 /// Bounded-exhaustive valency oracle for a fixed protocol.
 #[derive(Clone, Copy, Debug)]
 pub struct ValencyOracle {
@@ -122,12 +183,13 @@ pub struct ValencyOracle {
     /// with `exhaustive == false` (hence [`Valency::Unknown`] unless
     /// bivalence was already witnessed) instead of running without bound.
     pub deadline: Option<std::time::Duration>,
-    /// Worker threads per query. `1` (the default) runs the sequential
-    /// engine; `t > 1` shards the group-only sweep across the work-stealing
-    /// driver ([`swapcons_sim::shard`]). Exhaustive queries report the same
-    /// verdict, witness-value set, state count, and exhaustiveness as the
-    /// sequential oracle; bivalence early-exits remain early exits (the
-    /// workers quiesce at the next wave boundary).
+    /// Worker threads per query. `1` (the default) runs the engine inline;
+    /// `t > 1` shards the group-only sweep across the work-stealing driver
+    /// ([`swapcons_sim::shard`]). Both explore in minimum-depth order, so
+    /// exhaustive queries report the same verdict, witness-value set, state
+    /// count, and exhaustiveness at every thread count; bivalence
+    /// early-exits remain early exits (the workers quiesce at the next wave
+    /// boundary).
     pub threads: usize,
 }
 
@@ -157,7 +219,7 @@ impl ValencyOracle {
     }
 
     /// Shard each query across `threads` workers (see
-    /// [`ValencyOracle::threads`]). `1` restores the sequential engine.
+    /// [`ValencyOracle::threads`]). `1` restores the inline run.
     ///
     /// # Panics
     ///
@@ -234,81 +296,66 @@ impl ValencyOracle {
         // from the root, so deduplicating a translate discards no *values*
         // — the closure pass after the search recovers them.
         let capacity = self.max_states.min(1 << 14);
-        let template: DedupSet<P> = if self.reduce {
+        let dedup: DedupSet<P> = if self.reduce {
             DedupSet::reduced(canon.clone(), capacity)
         } else {
             DedupSet::exact(capacity)
         };
-        let (states, exhaustive) = if self.threads > 1 {
-            self.query_sharded(protocol, config, group, template, &mut witnesses)
-        } else {
-            let mut visited = template;
-            let mut arena = ScheduleArena::new();
-            /// The oracle's strategy: collect decided values per generated
-            /// edge (even edges to already-known configurations), stop the
-            /// moment bivalence is established — whatever remains unexplored
-            /// cannot change the verdict — and treat schema rejections as
-            /// skipped (hence incomplete) work rather than aborting.
-            struct OracleVisitor<'a> {
-                witnesses: &'a mut HashMap<u64, Vec<ProcessId>>,
-            }
-            impl<P: Protocol> Visitor<P> for OracleVisitor<'_> {
-                fn enter(
-                    &mut self,
-                    _protocol: &P,
-                    _config: &Configuration<P>,
-                    _ctx: &NodeCtx<'_>,
-                    _candidates: &[swapcons_sim::Action],
-                ) -> Control {
-                    if self.witnesses.len() >= 2 {
-                        Control::Stop
-                    } else {
-                        Control::Continue
-                    }
-                }
-
-                fn edge(
-                    &mut self,
-                    _protocol: &P,
-                    _child: &Configuration<P>,
-                    decided: Option<u64>,
-                    _is_new: bool,
-                    ctx: &mut EdgeCtx<'_>,
-                ) -> Control {
-                    if let Some(v) = decided {
-                        self.witnesses.entry(v).or_insert_with(|| ctx.schedule());
-                    }
-                    Control::Continue
-                }
-
-                fn step_error(
-                    &mut self,
-                    _protocol: &P,
-                    _error: SimError,
-                    _ctx: &mut EdgeCtx<'_>,
-                ) -> Control {
-                    Control::Continue
-                }
-            }
-            let mut engine = Engine::new(Budget::new(self.max_depth, self.max_states));
-            if let Some(deadline) = self.deadline {
-                engine = engine.with_deadline(deadline);
-            }
-            let stats = engine.run(
+        // Seed the shared value set with the solo fast-path values, so a
+        // single engine-found second value still triggers the bivalence
+        // stop.
+        let seen = SeenValues {
+            values: Mutex::new(witnesses.keys().copied().collect()),
+            bivalent: AtomicBool::new(false),
+        };
+        let mut visitors: Vec<OracleVisitor<'_>> = (0..self.threads)
+            .map(|_| OracleVisitor {
+                seen: &seen,
+                witnesses: HashMap::new(),
+            })
+            .collect();
+        let mut engine = Engine::new(Budget::new(self.max_depth, self.max_states));
+        if let Some(deadline) = self.deadline {
+            engine = engine.with_deadline(deadline);
+        }
+        let (stats, states) = engine
+            .run_min_depth(
                 protocol,
                 config.clone(),
-                &mut visited,
-                &mut arena,
-                &mut GroupRestricted(group),
-                &mut Lifo::new(),
-                &mut OracleVisitor {
-                    witnesses: &mut witnesses,
-                },
-            );
-            // A bivalence early-exit leaves the rest of the space
-            // unexplored by design; it is never an exhaustiveness claim.
-            (visited.len(), stats.complete() && !stats.stopped)
-        };
+                dedup,
+                || GroupRestricted(group),
+                &mut visitors,
+                None,
+                None,
+            )
+            .expect("fresh runs cannot fail to resume");
+        // The one witness merge rule, at every thread count: solo fast-path
+        // entries always win; among engine-found schedules for the same
+        // value the smallest (length, then lexicographic) survives,
+        // independent of thread scheduling.
+        fn schedule_key(schedule: &[ProcessId]) -> (usize, Vec<usize>) {
+            (schedule.len(), schedule.iter().map(|p| p.0).collect())
+        }
+        let solo_found: HashSet<u64> = witnesses.keys().copied().collect();
+        for worker in visitors {
+            for (v, schedule) in worker.witnesses {
+                match witnesses.entry(v) {
+                    Entry::Vacant(e) => {
+                        e.insert(schedule);
+                    }
+                    Entry::Occupied(mut e) => {
+                        if !solo_found.contains(&v)
+                            && schedule_key(&schedule) < schedule_key(e.get())
+                        {
+                            e.insert(schedule);
+                        }
+                    }
+                }
+            }
+        }
+        // A bivalence early-exit leaves the rest of the space unexplored
+        // by design; it is never an exhaustiveness claim.
+        let exhaustive = stats.complete() && !stats.stopped;
         // Close the witness set under the stabilizer subgroup: an explored
         // execution deciding `v` renames, element by element, to a real
         // execution from the same root deciding `σ(v)` — exactly the
@@ -335,117 +382,6 @@ impl ValencyOracle {
             symmetry_group: canon.group_order(),
             symmetry_degraded: canon.degraded(),
         }
-    }
-
-    /// The work-stealing leg of [`ValencyOracle::query`]: shard the
-    /// group-only sweep over a [`StripedDedup`] built from the same dedup
-    /// template. Workers share a seen-value set so bivalence still stops
-    /// the search; each collects witnesses locally, and the post-join merge
-    /// keeps — per value — the deterministically smallest schedule
-    /// (length, then lexicographic), with solo fast-path witnesses taking
-    /// precedence exactly as in the sequential path. Returns
-    /// `(states, exhaustive)`.
-    fn query_sharded<P: Protocol>(
-        &self,
-        protocol: &P,
-        config: &Configuration<P>,
-        group: &[ProcessId],
-        template: DedupSet<P>,
-        witnesses: &mut HashMap<u64, Vec<ProcessId>>,
-    ) -> (usize, bool) {
-        struct ShardOracleVisitor<'a> {
-            seen: &'a Mutex<HashSet<u64>>,
-            witnesses: HashMap<u64, Vec<ProcessId>>,
-        }
-        impl<P: Protocol> ShardVisitor<P> for ShardOracleVisitor<'_> {
-            fn enter(
-                &mut self,
-                _protocol: &P,
-                _config: &Configuration<P>,
-                _witness: &WitnessRef<'_>,
-                _candidates: &[swapcons_sim::Action],
-            ) -> Control {
-                if self.seen.lock().expect("seen-set lock").len() >= 2 {
-                    Control::Stop
-                } else {
-                    Control::Continue
-                }
-            }
-
-            fn edge(
-                &mut self,
-                _protocol: &P,
-                _child: &Configuration<P>,
-                decided: Option<u64>,
-                _is_new: bool,
-                witness: &WitnessRef<'_>,
-            ) -> Control {
-                if let Some(v) = decided {
-                    self.witnesses
-                        .entry(v)
-                        .or_insert_with(|| witness.schedule());
-                    self.seen.lock().expect("seen-set lock").insert(v);
-                }
-                Control::Continue
-            }
-
-            fn step_error(
-                &mut self,
-                _protocol: &P,
-                _error: SimError,
-                _witness: &WitnessRef<'_>,
-            ) -> Control {
-                Control::Continue
-            }
-        }
-        let striped = StripedDedup::new(template, (self.threads * 8).min(64), self.max_states);
-        // Seed with the solo fast-path values so a single engine-found
-        // second value still triggers the bivalence stop.
-        let seen: Mutex<HashSet<u64>> = Mutex::new(witnesses.keys().copied().collect());
-        let mut workers: Vec<ShardOracleVisitor<'_>> = (0..self.threads)
-            .map(|_| ShardOracleVisitor {
-                seen: &seen,
-                witnesses: HashMap::new(),
-            })
-            .collect();
-        let opts = ShardOptions {
-            threads: self.threads,
-            budget: Budget::new(self.max_depth, self.max_states),
-            deadline: self.deadline,
-        };
-        let stats = run_sharded(
-            protocol,
-            config.clone(),
-            &striped,
-            &opts,
-            || GroupRestricted(group),
-            &mut workers,
-            None,
-        );
-        fn schedule_key(schedule: &[ProcessId]) -> (usize, Vec<usize>) {
-            (schedule.len(), schedule.iter().map(|p| p.0).collect())
-        }
-        // Solo fast-path entries always win (as in the sequential path's
-        // `or_insert`); among worker-found schedules for the same value the
-        // smallest key survives, independent of thread scheduling.
-        let solo_found: HashSet<u64> = witnesses.keys().copied().collect();
-        for worker in workers {
-            for (v, schedule) in worker.witnesses {
-                match witnesses.entry(v) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(schedule);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        if !solo_found.contains(&v)
-                            && schedule_key(&schedule) < schedule_key(e.get())
-                        {
-                            e.insert(schedule);
-                        }
-                    }
-                }
-            }
-        }
-        (striped.len(), stats.complete() && !stats.stopped)
     }
 
     /// Convenience: the verdict only.

@@ -63,7 +63,7 @@ use std::sync::Arc;
 use crate::config::Configuration;
 use crate::ids::{ObjectId, ProcessId};
 use crate::protocol::{Protocol, SimValue};
-use crate::search::{PrehashedMap, VisitedSet};
+use crate::search::{Bucket, PrehashedMap, VisitedSet};
 use crate::ProcStatus;
 
 /// Largest renaming group [`Canonicalizer::for_inputs`] will enumerate
@@ -1038,13 +1038,13 @@ pub struct CanonicalVisitedSet<P: Protocol> {
     degraded: bool,
     /// Inverse-permutation tables, one per renaming; built lazily on the
     /// first probe (the object permutation needs the protocol, which `new`
-    /// does not see). `OnceLock` keeps probes `&self` and the set shareable
-    /// across threads once the sharded frontier lands (ROADMAP).
+    /// does not see). `OnceLock` keeps probes `&self`, so the sharded
+    /// driver's one shared keyer ([`crate::shard::StripedDedup`]) computes
+    /// orbit keys from every worker at once.
     tables: std::sync::OnceLock<Vec<RenamingTables>>,
-    buckets: PrehashedMap<Vec<Configuration<P>>>,
+    buckets: PrehashedMap<Bucket<P>>,
     len: usize,
     mask: u64,
-    compaction: bool,
     fallback_comparisons: usize,
 }
 
@@ -1072,7 +1072,6 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
             buckets: PrehashedMap::default(),
             len: 0,
             mask: u64::MAX,
-            compaction: false,
             fallback_comparisons: 0,
         }
     }
@@ -1089,15 +1088,6 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
     #[must_use]
     pub fn with_fingerprint_mask(mut self, mask: u64) -> Self {
         self.mask = mask;
-        self
-    }
-
-    /// Switch to fingerprint-only membership. **Unsound**: orbit-fingerprint
-    /// collisions silently merge distinct states, so any verdict becomes
-    /// probabilistic. Opt-in only; reported via `CheckReport`.
-    #[must_use]
-    pub fn unsound_hash_compaction(mut self) -> Self {
-        self.compaction = true;
         self
     }
 
@@ -1362,7 +1352,7 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
     fn orbit_hits_bucket(
         &self,
         protocol: &P,
-        bucket: &[Configuration<P>],
+        bucket: &Bucket<P>,
         config: &Configuration<P>,
     ) -> bool {
         if bucket.iter().any(|stored| stored == config) {
@@ -1386,11 +1376,11 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         self.orbit_key(protocol, config)
     }
 
-    /// An empty set over the same group, mask, and compaction policy — the
-    /// stripe factory for [`crate::shard`]. The stripe keeps its own copy of
-    /// the renamings for the exact orbit fallback on bucket hits (which
-    /// builds the stripe's own inverse tables on first use); keys are still
-    /// only ever computed through the shared keyer.
+    /// An empty set over the same group and mask — the stripe factory for
+    /// [`crate::shard`]. The stripe keeps its own copy of the renamings for
+    /// the exact orbit fallback on bucket hits (which builds the stripe's
+    /// own inverse tables on first use); keys are still only ever computed
+    /// through the shared keyer.
     pub(crate) fn stripe_clone(&self) -> Self {
         CanonicalVisitedSet {
             renamings: self.renamings.clone(),
@@ -1399,7 +1389,6 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
             buckets: PrehashedMap::default(),
             len: 0,
             mask: self.mask,
-            compaction: self.compaction,
             fallback_comparisons: 0,
         }
     }
@@ -1420,38 +1409,23 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         protocol: &P,
         config: &Configuration<P>,
     ) -> bool {
-        use std::collections::hash_map::Entry;
-        match self.buckets.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(if self.compaction {
-                    Vec::new()
-                } else {
-                    vec![config.clone()]
-                });
-                self.len += 1;
-                true
-            }
-            Entry::Occupied(mut slot) => {
-                if self.compaction {
-                    return false;
-                }
-                // Detach the bucket so the fallback can borrow `self`
-                // immutably; bucket hits are rare enough that the move is
-                // free in practice (the vector's storage moves, not its
-                // elements).
-                let mut bucket = std::mem::take(slot.get_mut());
-                self.fallback_comparisons += bucket.len();
-                let fresh = if self.orbit_hits_bucket(protocol, &bucket, config) {
-                    false
-                } else {
-                    bucket.push(config.clone());
-                    self.len += 1;
-                    true
-                };
-                *self.buckets.get_mut(&key).expect("bucket exists") = bucket;
-                fresh
-            }
+        let Some(bucket) = self.buckets.get(&key) else {
+            self.buckets.insert(key, Bucket::new(config));
+            self.len += 1;
+            return true;
+        };
+        let compared = bucket.len();
+        let hit = self.orbit_hits_bucket(protocol, bucket, config);
+        self.fallback_comparisons += compared;
+        if hit {
+            return false;
         }
+        self.buckets
+            .get_mut(&key)
+            .expect("bucket exists")
+            .push(config);
+        self.len += 1;
+        true
     }
 
     /// Whether some member of `config`'s orbit is present. (A rare-path
@@ -1472,7 +1446,7 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
     ) -> bool {
         match self.buckets.get(&key) {
             None => false,
-            Some(bucket) => self.compaction || self.orbit_hits_bucket(protocol, bucket, config),
+            Some(bucket) => self.orbit_hits_bucket(protocol, bucket, config),
         }
     }
 
@@ -1497,15 +1471,14 @@ impl<P: Protocol> std::fmt::Debug for CanonicalVisitedSet<P> {
         f.debug_struct("CanonicalVisitedSet")
             .field("len", &self.len)
             .field("group_order", &self.group_order())
-            .field("compaction", &self.compaction)
             .field("fallback_comparisons", &self.fallback_comparisons)
             .finish()
     }
 }
 
-/// The dedup front-end shared by the exploration engines: exact, reduced,
-/// or (opt-in, unsound) fingerprint-compacted — one insert/contains surface
-/// so `ModelChecker` and `ValencyOracle` stay mode-agnostic.
+/// The dedup front-end shared by the exploration engines: exact or
+/// symmetry-reduced — one insert/contains surface so `ModelChecker` and
+/// `ValencyOracle` stay mode-agnostic.
 pub enum DedupSet<P: Protocol> {
     /// Plain exact visited set (the default).
     Exact(VisitedSet<P>),
@@ -1529,16 +1502,6 @@ impl<P: Protocol> DedupSet<P> {
             DedupSet::exact(expected)
         } else {
             DedupSet::Reduced(CanonicalVisitedSet::new(canon).with_capacity(expected))
-        }
-    }
-
-    /// Switch to fingerprint-only membership (unsound; see
-    /// [`CanonicalVisitedSet::unsound_hash_compaction`]).
-    #[must_use]
-    pub fn unsound_hash_compaction(self) -> Self {
-        match self {
-            DedupSet::Exact(set) => DedupSet::Exact(set.unsound_hash_compaction()),
-            DedupSet::Reduced(set) => DedupSet::Reduced(set.unsound_hash_compaction()),
         }
     }
 
@@ -1571,7 +1534,7 @@ impl<P: Protocol> DedupSet<P> {
         self.len() == 0
     }
 
-    /// Order of the dedup group (1 for the exact modes).
+    /// Order of the dedup group (1 for the exact set).
     pub fn group_order(&self) -> usize {
         match self {
             DedupSet::Exact(_) => 1,
@@ -1606,8 +1569,8 @@ impl<P: Protocol> DedupSet<P> {
         }
     }
 
-    /// An empty set with the same mode, group, mask, and compaction policy —
-    /// the stripe factory for [`crate::shard`]. Crate-internal.
+    /// An empty set with the same mode, group, and mask — the stripe
+    /// factory for [`crate::shard`]. Crate-internal.
     pub(crate) fn stripe_clone(&self) -> Self {
         match self {
             DedupSet::Exact(set) => DedupSet::Exact(set.stripe_clone()),
@@ -2186,26 +2149,6 @@ mod tests {
         assert_eq!(set.len(), 3);
         assert!(!set.insert(&TwoProcessSwapConsensus, &a));
         assert!(set.fallback_comparisons() > 0);
-    }
-
-    #[test]
-    fn hash_compaction_is_fingerprint_only() {
-        let canon = Canonicalizer::for_inputs(&TwoProcessSwapConsensus, &[0, 1]);
-        // Mask 0 + compaction: everything merges into one bucket — the
-        // documented unsoundness, verified to actually behave that way.
-        let mut set = CanonicalVisitedSet::new(canon)
-            .with_fingerprint_mask(0)
-            .unsound_hash_compaction();
-        let a = init(&[0, 1]);
-        let mut b = a.clone();
-        b.step_quiet(&TwoProcessSwapConsensus, ProcessId(0))
-            .unwrap();
-        assert!(set.insert(&TwoProcessSwapConsensus, &a));
-        assert!(
-            !set.insert(&TwoProcessSwapConsensus, &b),
-            "colliding fingerprints silently merge under compaction"
-        );
-        assert_eq!(set.len(), 1);
     }
 
     #[test]

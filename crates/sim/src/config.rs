@@ -368,11 +368,7 @@ impl<P: Protocol> Configuration<P> {
 
     /// The operation process `pid` is poised to apply (Section 2), or `None`
     /// if it has decided.
-    pub fn poised(
-        &self,
-        protocol: &P,
-        pid: ProcessId,
-    ) -> Option<(ObjectId, ObjectOp<P::Value>)> {
+    pub fn poised(&self, protocol: &P, pid: ProcessId) -> Option<(ObjectId, ObjectOp<P::Value>)> {
         self.state(pid).map(|s| protocol.poised(s))
     }
 
@@ -426,19 +422,18 @@ impl<P: Protocol> Configuration<P> {
         obj: ObjectId,
         op: ObjectOp<P::Value>,
         save_prior: bool,
-    ) -> (Response<P::Value>, Option<(ObjectId, P::Value)>) {
+    ) -> (Response<P::Value>, DisplacedValue<P>) {
         match op {
-            ObjectOp::Historyless(HistorylessOp::Read) => (
-                Response::to_read(self.objects[obj.index()].clone()),
-                None,
-            ),
+            ObjectOp::Historyless(HistorylessOp::Read) => {
+                (Response::to_read(self.objects[obj.index()].clone()), None)
+            }
             ObjectOp::MaxRead => (
                 Response::to_max_read(self.objects[obj.index()].clone()),
                 None,
             ),
             ObjectOp::Historyless(HistorylessOp::Write(next)) => {
                 let prev = std::mem::replace(&mut cow_slice(&mut self.objects)[obj.index()], next);
-                (Response::to_write(), save_prior.then(|| (obj, prev)))
+                (Response::to_write(), save_prior.then_some((obj, prev)))
             }
             ObjectOp::Historyless(HistorylessOp::Swap(next)) => {
                 let prev = std::mem::replace(&mut cow_slice(&mut self.objects)[obj.index()], next);
@@ -451,7 +446,7 @@ impl<P: Protocol> Configuration<P> {
                         std::mem::replace(&mut cow_slice(&mut self.objects)[obj.index()], next);
                     (
                         Response::to_test_and_set(true),
-                        save_prior.then(|| (obj, prev)),
+                        save_prior.then_some((obj, prev)),
                     )
                 } else {
                     (Response::to_test_and_set(false), None)
@@ -467,7 +462,7 @@ impl<P: Protocol> Configuration<P> {
                 if offered > current {
                     let prev =
                         std::mem::replace(&mut cow_slice(&mut self.objects)[obj.index()], next);
-                    (Response::to_max_write(), save_prior.then(|| (obj, prev)))
+                    (Response::to_max_write(), save_prior.then_some((obj, prev)))
                 } else {
                     (Response::to_max_write(), None)
                 }
@@ -691,13 +686,17 @@ fn check_domain<V: SimValue>(schema: &ObjectSchema, value: &V) -> Result<(), Sch
     schema.check_domain_point(value.domain_point())
 }
 
+/// An object slot's displaced pre-step value, kept for undo (`None` when
+/// the step left every object untouched).
+type DisplacedValue<P> = Option<(ObjectId, <P as Protocol>::Value)>;
+
 /// Undo token for one step, produced by
 /// [`Configuration::step_quiet_undoable`]: the pre-step contents of the (at
 /// most) two slots the step mutated.
 pub struct StepUndo<P: Protocol> {
     /// The target object's displaced value (`None` for a trivial operation,
     /// which changes no object).
-    object: Option<(ObjectId, P::Value)>,
+    object: DisplacedValue<P>,
     /// The stepping process's pre-step status.
     process: (ProcessId, ProcStatus<P::State>),
 }

@@ -2,15 +2,14 @@
 //! in the workspace.
 //!
 //! [`ModelChecker`](crate::explore::ModelChecker) and the lower-bound
-//! valency oracle used to be near-duplicate hand-rolled DFS loops; every
+//! valency oracle used to be near-duplicate hand-rolled loops; every
 //! hot-path lever (copy-on-write scratch children, delta-restore, the
 //! schedule arena, symmetry-reduced dedup, budget accounting) had to land
 //! twice and their cutoff disciplines drifted. This module owns that loop
 //! once. [`Engine::run`] walks the configuration graph of a protocol,
-//! deduplicating at **discovery time** through a [`DedupSet`] (exact,
-//! symmetry-reduced, or opt-in hash-compacted), recording one
-//! [`ScheduleArena`] node per kept edge, generating candidate children on a
-//! recycled scratch configuration with
+//! deduplicating at **discovery time** through a [`DedupSet`] (exact or
+//! symmetry-reduced), recording one [`ScheduleArena`] node per kept edge,
+//! generating candidate children on a recycled scratch configuration with
 //! [`step_quiet_undoable`](crate::Configuration::step_quiet_undoable) /
 //! [`undo_step`](crate::Configuration::undo_step) delta-restore, and
 //! enforcing exact depth/state/frontier budgets with a uniform
@@ -22,15 +21,29 @@
 //!   from a node: [`AllRunning`] for the model checker, [`GroupRestricted`]
 //!   for the valency oracle, [`PrunedExpansion`] for scheduler-guided
 //!   adversary searches;
-//! * a **frontier order** ([`Frontier`]) — [`Lifo`] gives the classic DFS;
-//!   [`BestFirst`] is a priority queue keyed by a pluggable score, which is
-//!   what makes the Lemma 9 cover-and-block and lap-maximizing adversary
-//!   searches expressible as searches instead of hand-coded schedules;
+//! * a **frontier order** ([`Frontier`]) — [`Fifo`] is breadth-first and
+//!   discovers every configuration at its minimum depth, the one order of
+//!   the exhaustive clients; [`BestFirst`] is a priority queue keyed by a
+//!   pluggable score, which is what makes the Lemma 9 cover-and-block and
+//!   lap-maximizing adversary searches expressible as searches instead of
+//!   hand-coded schedules;
 //! * a **visitor** ([`Visitor`]) — per-state and per-edge verdicts: safety
 //!   plus solo termination for the checker, decided-value collection with
 //!   early bivalence exit for the oracle. ([`AdversarySynthesis`] tracks
 //!   its objective in the *frontier* instead, where the score is already
-//!   being computed for the priority order.)
+//!   being computed for the priority order.) The same visitor runs on the
+//!   sharded driver ([`crate::shard`]), which hands it the same
+//!   [`NodeCtx`]/[`EdgeCtx`] views.
+//!
+//! # One bounded-search semantics
+//!
+//! [`Engine::run_min_depth`] is how the exhaustive clients search: one
+//! worker runs [`Engine::run`] inline with a [`Fifo`] frontier, more run
+//! the sharded waves of [`crate::shard::run_sharded`]. Both discover every
+//! configuration at its minimum depth, so a depth-bounded search covers
+//! exactly the configurations within `max_depth` steps of the root —
+//! whatever the thread count — and a depth-bounded pass means "no
+//! violation within `max_depth` steps".
 //!
 //! # Budget discipline
 //!
@@ -80,10 +93,11 @@ use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::canon::DedupSet;
-use crate::config::{Configuration, SimError};
+use crate::config::{Configuration, SimError, StepUndo};
 use crate::ids::{Action, ProcessId};
 use crate::protocol::Protocol;
 use crate::search::{NodeId, ScheduleArena};
+use crate::shard::{run_sharded, GNode, ShardOptions, ShardedArenas, StripedDedup};
 
 /// Exact search budgets, enforced at discovery time.
 #[derive(Clone, Copy, Debug)]
@@ -232,9 +246,8 @@ where
 /// interleaved with every schedule, which is exactly the adversary class
 /// wait-freedom quantifies over.
 ///
-/// Crash edges are appended after the inner candidates, so a crash-free
-/// exploration is a strict prefix of the crash-injected one at every node
-/// (DFS order diverges only into the crash branches).
+/// Crash edges are appended after the inner candidates, so at every node
+/// the crash-free edges come first and the crash branches after them.
 #[derive(Clone, Copy, Debug)]
 pub struct CrashBounded<E> {
     /// The wrapped policy producing the step candidates.
@@ -293,58 +306,22 @@ pub trait Frontier<P: Protocol> {
     /// The pending node ids in *push order* (the order re-pushing them
     /// reproduces this frontier), for checkpointing. Frontiers that cannot
     /// reproduce their order (or choose not to support snapshots) return
-    /// `None`; [`Lifo`] — the exhaustive clients' order — supports it.
+    /// `None`; [`Fifo`] — the exhaustive clients' order — supports it.
     fn pending_nodes(&self) -> Option<Vec<NodeId>> {
         None
     }
 }
 
-/// Plain LIFO stack: depth-first search, the default order of both
-/// rebuilt clients.
-#[derive(Debug)]
-pub struct Lifo<P: Protocol>(Vec<(Configuration<P>, NodeId)>);
-
-impl<P: Protocol> Lifo<P> {
-    /// An empty stack.
-    pub fn new() -> Self {
-        Lifo(Vec::new())
-    }
-}
-
-impl<P: Protocol> Default for Lifo<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: Protocol> Frontier<P> for Lifo<P> {
-    fn push(&mut self, _protocol: &P, config: Configuration<P>, node: NodeId, _depth: usize) {
-        self.0.push((config, node));
-    }
-
-    fn pop(&mut self) -> Option<(Configuration<P>, NodeId)> {
-        self.0.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn pending_nodes(&self) -> Option<Vec<NodeId>> {
-        Some(self.0.iter().map(|(_, node)| *node).collect())
-    }
-}
-
-/// Plain FIFO queue: breadth-first search in push order.
+/// Plain FIFO queue: breadth-first search in push order, the frontier of
+/// every exhaustive client ([`Engine::run_min_depth`]).
 ///
-/// This is the frontier the sharded engine's *resume* path uses
-/// ([`crate::explore::ModelChecker::with_threads`]): a sharded run explores
-/// in depth-synchronized waves, so every state in its checkpoint image is
-/// recorded at its **minimum** depth, and the image frontier is ordered
-/// shallowest-first. Re-exploring that frontier FIFO preserves the
-/// min-depth invariant by breadth-first induction, which is what makes a
-/// resumed report's `deepest` (and every other deterministic counter) match
-/// the uninterrupted sharded run exactly.
+/// Children are pushed at their parent's depth plus one and popped in push
+/// order, so depths leave the queue in non-decreasing order and every
+/// configuration is discovered at its **minimum** depth. A depth-bounded
+/// search therefore covers exactly the configurations within `max_depth`
+/// steps of the root, the same set the sharded waves cover at any thread
+/// count. The sharded checkpoint image orders its frontier
+/// shallowest-first, so resuming it FIFO keeps that invariant too.
 #[derive(Debug)]
 pub struct Fifo<P: Protocol>(std::collections::VecDeque<(Configuration<P>, NodeId)>);
 
@@ -460,12 +437,30 @@ impl<P: Protocol, F> std::fmt::Debug for BestFirst<P, F> {
     }
 }
 
-/// Read-only view of a visited node, handed to [`Visitor::enter`].
+/// A position in the schedule tree of a running search: a node of the
+/// sequential engine's arena, or of the sharded driver's per-worker arenas.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum TreePos<'a> {
+    Arena(&'a ScheduleArena, NodeId),
+    Shards(&'a ShardedArenas, GNode),
+}
+
+impl TreePos<'_> {
+    /// The action sequence from the root to this position.
+    fn actions(self) -> Vec<Action> {
+        match self {
+            TreePos::Arena(arena, node) => arena.actions(node),
+            TreePos::Shards(arenas, node) => arenas.actions_of(node),
+        }
+    }
+}
+
+/// Read-only view of a visited node, handed to [`Visitor::enter`]. Both
+/// drivers build it; nothing is materialized unless a hook asks for the
+/// witness.
 #[derive(Debug)]
 pub struct NodeCtx<'a> {
-    arena: &'a ScheduleArena,
-    /// The node's arena id.
-    pub node: NodeId,
+    pub(crate) at: TreePos<'a>,
     /// The node's depth (schedule length from the root).
     pub depth: usize,
 }
@@ -475,25 +470,24 @@ impl NodeCtx<'_> {
     /// witness path. Crash transitions project to their process id; use
     /// [`NodeCtx::actions`] when the distinction matters.
     pub fn schedule(&self) -> Vec<ProcessId> {
-        self.arena.schedule(self.node)
+        self.actions().iter().map(|a| a.pid()).collect()
     }
 
     /// Materialize the full action sequence (steps *and* crashes) from the
     /// root to this node.
     pub fn actions(&self) -> Vec<Action> {
-        self.arena.actions(self.node)
+        self.at.actions()
     }
 }
 
 /// View of one generated edge, handed to [`Visitor::edge`] and
-/// [`Visitor::step_error`]. The edge's arena node is created lazily — only
-/// searches that actually need a witness for the edge pay for it.
+/// [`Visitor::step_error`]: the parent's position plus the edge's action.
+/// Duplicate and failed edges never get an arena node, so the witness is
+/// the parent's schedule with the action appended.
 #[derive(Debug)]
 pub struct EdgeCtx<'a> {
-    arena: &'a mut ScheduleArena,
-    parent: NodeId,
-    action: Action,
-    node: Option<NodeId>,
+    pub(crate) parent: TreePos<'a>,
+    pub(crate) action: Action,
 }
 
 impl EdgeCtx<'_> {
@@ -507,30 +501,25 @@ impl EdgeCtx<'_> {
         self.action.pid()
     }
 
-    /// The edge's arena node, created on first use.
-    pub fn node(&mut self) -> NodeId {
-        let (arena, parent, action) = (&mut *self.arena, self.parent, self.action);
-        *self
-            .node
-            .get_or_insert_with(|| arena.child_action(parent, action))
-    }
-
     /// Materialize the schedule from the root through this edge (pid
     /// projection; see [`EdgeCtx::actions`] for crash fidelity).
-    pub fn schedule(&mut self) -> Vec<ProcessId> {
-        let node = self.node();
-        self.arena.schedule(node)
+    pub fn schedule(&self) -> Vec<ProcessId> {
+        self.actions().iter().map(|a| a.pid()).collect()
     }
 
     /// Materialize the full action sequence from the root through this
     /// edge.
-    pub fn actions(&mut self) -> Vec<Action> {
-        let node = self.node();
-        self.arena.actions(node)
+    pub fn actions(&self) -> Vec<Action> {
+        let mut out = self.parent.actions();
+        out.push(self.action);
+        out
     }
 }
 
-/// Per-state and per-edge verdicts of a search.
+/// Per-state and per-edge verdicts of a search — the one visitor trait of
+/// both drivers. [`Engine::run`] calls it from the calling thread; the
+/// sharded driver gives each worker its own visitor (hence the `Send`
+/// bound there) and the caller merges them after the join.
 ///
 /// Hook order per dequeued node: `enter` (with the node's expansion
 /// candidates already computed), then — unless the node is terminal or
@@ -556,7 +545,7 @@ pub trait Visitor<P: Protocol> {
         _child: &Configuration<P>,
         _decided: Option<u64>,
         _is_new: bool,
-        _ctx: &mut EdgeCtx<'_>,
+        _ctx: &EdgeCtx<'_>,
     ) -> Control {
         Control::Continue
     }
@@ -568,7 +557,7 @@ pub trait Visitor<P: Protocol> {
     /// skips the edge and marks the search incomplete (the oracle's
     /// policy); returning [`Control::Stop`] aborts (the checker records a
     /// protocol-bug violation).
-    fn step_error(&mut self, _protocol: &P, _error: SimError, _ctx: &mut EdgeCtx<'_>) -> Control {
+    fn step_error(&mut self, _protocol: &P, _error: SimError, _ctx: &EdgeCtx<'_>) -> Control {
         Control::Stop
     }
 }
@@ -851,6 +840,102 @@ impl Engine {
         ))
     }
 
+    /// Run a min-depth search — the one search semantics of the exhaustive
+    /// clients — with one worker per visitor.
+    ///
+    /// A single visitor runs [`Engine::run_with`] (or [`Engine::resume`])
+    /// inline on a [`Fifo`] frontier: no thread, no stripes. More visitors
+    /// run the sharded waves of [`run_sharded`] over a [`StripedDedup`]
+    /// built from `dedup`. Both discover every configuration at its minimum
+    /// depth, so their reports agree at every thread count
+    /// (`peak_frontier`, a high-water mark, excepted).
+    ///
+    /// `dedup` must be empty; it is the striped set's template when
+    /// sharded. Returns the run's stats and the number of distinct
+    /// configurations (orbits) discovered.
+    ///
+    /// # Errors
+    ///
+    /// [`ResumeError`] if `resume` holds an image that cannot seed the
+    /// search (see [`Engine::resume`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `visitors` is empty or longer than
+    /// [`MAX_THREADS`](crate::shard::MAX_THREADS), or if `resume` is given
+    /// with more than one visitor: the sharded driver does not resume, a
+    /// resumed leg runs inline.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_min_depth<P, E, V>(
+        &self,
+        protocol: &P,
+        root: Configuration<P>,
+        dedup: DedupSet<P>,
+        make_expansion: impl Fn() -> E,
+        visitors: &mut [V],
+        resume: Option<&SearchImage>,
+        ckpt: Option<Checkpointing<'_>>,
+    ) -> Result<(SearchStats, usize), ResumeError>
+    where
+        P: Protocol,
+        E: Expansion<P> + Send,
+        V: Visitor<P> + Send,
+    {
+        if let [visitor] = visitors {
+            let mut dedup = dedup;
+            let (mut arena, mut frontier) = (ScheduleArena::new(), Fifo::new());
+            let mut expansion = make_expansion();
+            let stats = match resume {
+                None => self.run_with(
+                    protocol,
+                    root,
+                    &mut dedup,
+                    &mut arena,
+                    &mut expansion,
+                    &mut frontier,
+                    visitor,
+                    ckpt,
+                ),
+                Some(image) => self.resume(
+                    protocol,
+                    root,
+                    image,
+                    &mut dedup,
+                    &mut arena,
+                    &mut expansion,
+                    &mut frontier,
+                    visitor,
+                    ckpt,
+                )?,
+            };
+            return Ok((stats, dedup.len()));
+        }
+        assert!(
+            resume.is_none(),
+            "a resumed search runs inline on one visitor"
+        );
+        let threads = visitors.len();
+        // More stripes than workers keeps lock contention low without
+        // affecting results (stripe assignment is a pure function of the
+        // fingerprint, so the partition is deterministic).
+        let striped = StripedDedup::new(dedup, (threads * 8).min(64), self.budget.max_states);
+        let opts = ShardOptions {
+            threads,
+            budget: self.budget,
+            deadline: self.deadline,
+        };
+        let stats = run_sharded(
+            protocol,
+            root,
+            &striped,
+            &opts,
+            make_expansion,
+            visitors,
+            ckpt,
+        );
+        Ok((stats, striped.len()))
+    }
+
     /// The shared search loop: `run_with` seeds a fresh search, `resume`
     /// seeds a restored one; both continue here.
     #[allow(clippy::too_many_arguments)]
@@ -873,20 +958,6 @@ impl Engine {
         V: Visitor<P>,
     {
         let started = Instant::now();
-        let snapshot = |stats: &SearchStats,
-                        arena: &ScheduleArena,
-                        discovery: &[NodeId],
-                        frontier: &F|
-         -> SearchImage {
-            SearchImage {
-                stats: *stats,
-                arena: arena.clone(),
-                discovery: discovery.to_vec(),
-                frontier: frontier
-                    .pending_nodes()
-                    .expect("checkpointing requires a frontier with pending_nodes support"),
-            }
-        };
         // Scratch buffers reused across nodes: the expansion candidates and
         // one configuration recycled between candidate children. A child is
         // generated by stepping the scratch in place and — when it is
@@ -903,8 +974,7 @@ impl Engine {
                         // Final snapshot so the interrupted run is
                         // resumable; its verdict (pause or not) no longer
                         // matters — the run is ending either way.
-                        let image = snapshot(&stats, arena, &discovery, frontier);
-                        let _ = (ckpt.sink)(&image);
+                        let _ = (ckpt.sink)(&image(&stats, arena, &discovery, frontier));
                     }
                     return stats;
                 }
@@ -917,122 +987,93 @@ impl Engine {
             stats.deepest = stats.deepest.max(depth);
             candidates.clear();
             expansion.candidates(protocol, &config, &mut candidates);
-            let ctx = NodeCtx { arena, node, depth };
+            let ctx = NodeCtx {
+                at: TreePos::Arena(arena, node),
+                depth,
+            };
             if visitor.enter(protocol, &config, &ctx, &candidates) == Control::Stop {
                 stats.stopped = true;
                 return stats;
             }
             if candidates.is_empty() {
                 stats.terminal_states += 1;
-                self.maybe_checkpoint(&mut stats, arena, &discovery, frontier, &mut ckpt);
-                if stats.paused {
-                    return stats;
-                }
-                continue;
-            }
-            if depth >= self.budget.max_depth {
+            } else if depth >= self.budget.max_depth {
                 stats.depth_truncated = true;
-                self.maybe_checkpoint(&mut stats, arena, &discovery, frontier, &mut ckpt);
-                if stats.paused {
-                    return stats;
-                }
-                continue;
-            }
-            // `true` while the scratch holds exactly `config`'s state (so
-            // the next candidate can step it directly); cleared when a kept
-            // child leaves the scratch sharing storage with the frontier.
-            let mut scratch_synced = false;
-            for &action in &candidates {
-                let child = match &mut child_scratch {
-                    Some(s) => s,
-                    None => child_scratch.insert(config.clone()),
-                };
-                if !scratch_synced {
-                    child.clone_state_from(&config);
-                }
-                scratch_synced = true;
-                let stepped = match action {
-                    Action::Step(pid) => {
-                        // Panic isolation: a protocol whose transition
-                        // function panics poisons only this scratch child,
-                        // which is discarded below — the search itself
-                        // survives and reports through `step_error`.
-                        match panic::catch_unwind(AssertUnwindSafe(|| {
-                            child.step_quiet_undoable(protocol, pid)
-                        })) {
-                            Ok(result) => result,
-                            Err(payload) => Err(SimError::Panicked {
-                                process: pid,
-                                message: panic_message(payload),
-                            }),
-                        }
+            } else {
+                // `true` while the scratch holds exactly `config`'s state (so
+                // the next candidate can step it directly); cleared when a kept
+                // child leaves the scratch sharing storage with the frontier.
+                let mut scratch_synced = false;
+                for &action in &candidates {
+                    let child = match &mut child_scratch {
+                        Some(s) => s,
+                        None => child_scratch.insert(config.clone()),
+                    };
+                    if !scratch_synced {
+                        child.clone_state_from(&config);
                     }
-                    Action::Crash(pid) => child.crash(pid).map(|undo| (None, undo)),
-                };
-                match stepped {
-                    Ok((decided, undo)) => {
-                        if dedup.len() >= self.budget.max_states
-                            || frontier.len() >= self.budget.max_frontier
-                        {
-                            // A budget is exhausted: a child that is already
-                            // known costs nothing to discard, but an
-                            // *undiscovered* one is genuinely skipped work.
-                            if !dedup.contains(protocol, child) {
-                                stats.budget_truncated = true;
+                    scratch_synced = true;
+                    match take_action(protocol, child, action) {
+                        Ok((decided, undo)) => {
+                            if dedup.len() >= self.budget.max_states
+                                || frontier.len() >= self.budget.max_frontier
+                            {
+                                // A budget is exhausted: a child that is already
+                                // known costs nothing to discard, but an
+                                // *undiscovered* one is genuinely skipped work.
+                                if !dedup.contains(protocol, child) {
+                                    stats.budget_truncated = true;
+                                }
+                                child.undo_step(undo);
+                                continue;
                             }
-                            child.undo_step(undo);
-                            continue;
-                        }
-                        let is_new = dedup.insert(protocol, child);
-                        let mut edge = EdgeCtx {
-                            arena,
-                            parent: node,
-                            action,
-                            node: None,
-                        };
-                        if visitor.edge(protocol, child, decided, is_new, &mut edge)
-                            == Control::Stop
-                        {
-                            stats.stopped = true;
-                            return stats;
-                        }
-                        if is_new {
-                            let child_node = edge.node();
-                            if ckpt.is_some() {
-                                discovery.push(child_node);
-                            }
-                            frontier.push(protocol, child.clone(), child_node, depth + 1);
-                            scratch_synced = false;
-                        } else {
-                            child.undo_step(undo);
-                        }
-                    }
-                    Err(e) => {
-                        if matches!(e, SimError::Panicked { .. }) {
-                            // The panicking step may have half-mutated the
-                            // scratch: poisoned, drop it. (A schema
-                            // rejection or crash error mutates nothing and
-                            // keeps the scratch synced.)
-                            child_scratch = None;
-                            scratch_synced = false;
-                        }
-                        let mut edge = EdgeCtx {
-                            arena,
-                            parent: node,
-                            action,
-                            node: None,
-                        };
-                        match visitor.step_error(protocol, e, &mut edge) {
-                            Control::Stop => {
+                            let is_new = dedup.insert(protocol, child);
+                            let edge = EdgeCtx {
+                                parent: TreePos::Arena(arena, node),
+                                action,
+                            };
+                            if visitor.edge(protocol, child, decided, is_new, &edge)
+                                == Control::Stop
+                            {
                                 stats.stopped = true;
                                 return stats;
                             }
-                            Control::Continue => stats.budget_truncated = true,
+                            if is_new {
+                                let child_node = arena.child_action(node, action);
+                                if ckpt.is_some() {
+                                    discovery.push(child_node);
+                                }
+                                frontier.push(protocol, child.clone(), child_node, depth + 1);
+                                scratch_synced = false;
+                            } else {
+                                child.undo_step(undo);
+                            }
+                        }
+                        Err(e) => {
+                            if matches!(e, SimError::Panicked { .. }) {
+                                // The panicking step may have half-mutated the
+                                // scratch: poisoned, drop it. (A schema
+                                // rejection or crash error mutates nothing and
+                                // keeps the scratch synced.)
+                                child_scratch = None;
+                                scratch_synced = false;
+                            }
+                            let edge = EdgeCtx {
+                                parent: TreePos::Arena(arena, node),
+                                action,
+                            };
+                            match visitor.step_error(protocol, e, &edge) {
+                                Control::Stop => {
+                                    stats.stopped = true;
+                                    return stats;
+                                }
+                                Control::Continue => stats.budget_truncated = true,
+                            }
                         }
                     }
                 }
+                stats.peak_frontier = stats.peak_frontier.max(frontier.len());
             }
-            stats.peak_frontier = stats.peak_frontier.max(frontier.len());
             self.maybe_checkpoint(&mut stats, arena, &discovery, frontier, &mut ckpt);
             if stats.paused {
                 return stats;
@@ -1057,22 +1098,54 @@ impl Engine {
         if !stats.states.is_multiple_of(ckpt.interval.max(1)) {
             return;
         }
-        let image = SearchImage {
-            stats: *stats,
-            arena: arena.clone(),
-            discovery: discovery.to_vec(),
-            frontier: frontier
-                .pending_nodes()
-                .expect("checkpointing requires a frontier with pending_nodes support"),
-        };
-        if (ckpt.sink)(&image) == Control::Stop {
+        if (ckpt.sink)(&image(stats, arena, discovery, frontier)) == Control::Stop {
             stats.paused = true;
         }
     }
 }
 
+/// The [`SearchImage`] of a sequential run at this point.
+fn image<P: Protocol, F: Frontier<P>>(
+    stats: &SearchStats,
+    arena: &ScheduleArena,
+    discovery: &[NodeId],
+    frontier: &F,
+) -> SearchImage {
+    SearchImage {
+        stats: *stats,
+        arena: arena.clone(),
+        discovery: discovery.to_vec(),
+        frontier: frontier
+            .pending_nodes()
+            .expect("checkpointing requires a frontier with pending_nodes support"),
+    }
+}
+
+/// Take one edge's action on the scratch child, undoably — the step of
+/// both drivers. Panic isolation: a protocol whose transition function
+/// panics poisons only the scratch child, which the caller discards — the
+/// search itself survives and reports through [`Visitor::step_error`].
+pub(crate) fn take_action<P: Protocol>(
+    protocol: &P,
+    child: &mut Configuration<P>,
+    action: Action,
+) -> Result<(Option<u64>, StepUndo<P>), SimError> {
+    match action {
+        Action::Step(pid) => panic::catch_unwind(AssertUnwindSafe(|| {
+            child.step_quiet_undoable(protocol, pid)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(SimError::Panicked {
+                process: pid,
+                message: panic_message(payload),
+            })
+        }),
+        Action::Crash(pid) => child.crash(pid).map(|undo| (None, undo)),
+    }
+}
+
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1233,7 +1306,7 @@ impl AdversarySynthesis {
                 &mut self,
                 _protocol: &P,
                 _error: SimError,
-                _ctx: &mut EdgeCtx<'_>,
+                _ctx: &EdgeCtx<'_>,
             ) -> Control {
                 Control::Continue
             }
@@ -1318,7 +1391,7 @@ mod tests {
     }
 
     #[test]
-    fn lifo_engine_covers_the_two_process_space() {
+    fn fifo_engine_covers_the_two_process_space() {
         let mut dedup = DedupSet::exact(16);
         let mut arena = ScheduleArena::new();
         let mut visitor = Recorder { depths: Vec::new() };
@@ -1328,7 +1401,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut AllRunning,
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut visitor,
         );
         // The known space: 5 configurations (initial, two mids, two
@@ -1354,7 +1427,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut GroupRestricted(&group),
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut visitor,
         );
         // p0-only executions: initial and the configuration after p0's
@@ -1389,7 +1462,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut expansion,
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut visitor,
         );
         // Initial, then p1 decided (terminal for the pruned policy).
@@ -1408,7 +1481,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut AllRunning,
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut Recorder { depths: Vec::new() },
         );
         assert_eq!(stats.states, 5);
@@ -1422,7 +1495,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut AllRunning,
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut Recorder { depths: Vec::new() },
         );
         assert!(!stats.complete(), "one state fewer genuinely truncates");
@@ -1455,7 +1528,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut AllRunning,
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut StopAtDepth1,
         );
         assert!(stats.stopped);
@@ -1485,7 +1558,7 @@ mod tests {
                 _child: &Configuration<P>,
                 decided: Option<u64>,
                 is_new: bool,
-                ctx: &mut EdgeCtx<'_>,
+                ctx: &EdgeCtx<'_>,
             ) -> Control {
                 if decided.is_some() {
                     self.decided_edges += 1;
@@ -1513,7 +1586,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut AllRunning,
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut visitor,
         );
         // Every edge in this protocol decides; the two orders converge on
@@ -1610,7 +1683,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut CrashBounded::new(AllRunning, 0),
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut Recorder { depths: Vec::new() },
         );
         assert_eq!(stats.states, 5, "f = 0 explores the crash-free space");
@@ -1651,7 +1724,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut CrashBounded::new(AllRunning, 1),
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut visitor,
         );
         assert!(stats.complete());
@@ -1679,7 +1752,7 @@ mod tests {
                 &mut dedup,
                 &mut arena,
                 &mut AllRunning,
-                &mut Lifo::new(),
+                &mut Fifo::new(),
                 &mut Recorder { depths: Vec::new() },
             );
         assert!(stats.deadline_truncated);
@@ -1746,7 +1819,7 @@ mod tests {
                 &mut self,
                 _p: &PanickyProtocol,
                 error: SimError,
-                ctx: &mut EdgeCtx<'_>,
+                ctx: &EdgeCtx<'_>,
             ) -> Control {
                 if let SimError::Panicked { process, message } = error {
                     self.panics.push((process, message));
@@ -1766,7 +1839,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut AllRunning,
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut visitor,
         );
         assert!(!stats.stopped, "Continue from step_error keeps searching");
@@ -1788,7 +1861,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut CrashBounded::new(AllRunning, 1),
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut baseline_visitor,
         );
         let baseline_states = dedup.len();
@@ -1808,7 +1881,7 @@ mod tests {
             &mut dedup2,
             &mut arena2,
             &mut CrashBounded::new(AllRunning, 1),
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut first_visitor,
             Some(Checkpointing {
                 interval: 2,
@@ -1833,7 +1906,7 @@ mod tests {
                 &mut dedup3,
                 &mut arena3,
                 &mut CrashBounded::new(AllRunning, 1),
-                &mut Lifo::new(),
+                &mut Fifo::new(),
                 &mut resumed_visitor,
                 None,
             )
@@ -1867,7 +1940,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut AllRunning,
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut Recorder { depths: Vec::new() },
             Some(Checkpointing {
                 interval: 1,
@@ -1886,7 +1959,7 @@ mod tests {
                 &mut dedup,
                 &mut arena,
                 &mut AllRunning,
-                &mut Lifo::new(),
+                &mut Fifo::new(),
                 &mut Recorder { depths: Vec::new() },
                 None,
             )

@@ -1,20 +1,23 @@
 //! Exhaustive model checking of small protocol instances.
 //!
-//! [`ModelChecker`] performs a depth-first search over *all* schedules from
-//! an initial configuration, de-duplicating configurations (two schedules
-//! that lead to the same configuration explore a single subtree). On every
-//! reachable configuration it checks the task's safety predicates —
-//! k-agreement and validity — and, optionally, solo termination within a
-//! step budget from every reachable configuration, which is precisely
-//! obstruction-freedom restricted to the explored region (and for Algorithm 1
-//! the paper's Lemma 8 gives the concrete budget `8(n-k)`).
+//! [`ModelChecker`] searches *all* schedules from an initial configuration
+//! in breadth-first (minimum-depth) order, de-duplicating configurations
+//! (two schedules that lead to the same configuration explore a single
+//! subtree). On every reachable configuration it checks the task's safety
+//! predicates — k-agreement and validity — and, optionally, solo
+//! termination within a step budget from every reachable configuration,
+//! which is precisely obstruction-freedom restricted to the explored region
+//! (and for Algorithm 1 the paper's Lemma 8 gives the concrete budget
+//! `8(n-k)`).
 //!
 //! Racing-style algorithms have unbounded state spaces (lap counters grow
 //! under contention), so exploration is bounded by depth, state count, and
 //! (optionally) frontier size; [`CheckReport::complete`] records whether any
 //! cutoff actually discarded work. A report with `complete == true` and no
 //! violation is an exhaustive proof of safety for that instance;
-//! `complete == false` is a bounded certificate.
+//! `complete == false` is a bounded certificate. Every configuration is
+//! discovered at its minimum depth, so a depth-bounded pass means exactly
+//! "no violation within `max_depth` steps", at every thread count.
 //!
 //! # Architecture
 //!
@@ -23,9 +26,11 @@
 //! discovery-time dedup ([`crate::canon::DedupSet`]), parent-pointer
 //! schedule arenas, copy-on-write scratch children with delta-restore, and
 //! exact budget accounting — while this module contributes only the
-//! checker's strategies: the [`AllRunning`] expansion policy, a LIFO
-//! frontier, and a visitor that evaluates safety plus (memoized) solo
-//! termination on every visited configuration.
+//! checker's strategies: the [`AllRunning`] expansion policy and one
+//! visitor that evaluates safety plus (memoized) solo termination on every
+//! visited configuration. [`Engine::run_min_depth`] runs that visitor
+//! inline at one thread and on the sharded waves ([`crate::shard`]) at
+//! more.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -36,14 +41,13 @@ use std::time::Duration;
 use crate::canon::{self, Canonicalizer, DedupSet};
 use crate::config::Configuration;
 use crate::engine::{
-    AllRunning, Budget, Checkpointing, Control, CrashBounded, EdgeCtx, Engine, Fifo, Lifo, NodeCtx,
-    ResumeError, SearchImage, SearchStats, Visitor,
+    AllRunning, Budget, Checkpointing, Control, CrashBounded, EdgeCtx, Engine, NodeCtx,
+    ResumeError, SearchImage, Visitor,
 };
 use crate::ids::{Action, ProcessId};
 use crate::protocol::Protocol;
 use crate::runner::{solo_run, SoloRunError};
 use crate::search::{PrehashedMap, ScheduleArena};
-use crate::shard::{run_sharded, ShardOptions, ShardVisitor, StripedDedup, WitnessRef};
 use crate::snapshot::{read_snapshot, write_snapshot, RunMeta, SnapshotError};
 use crate::task::{KSetTask, TaskViolation};
 
@@ -54,7 +58,7 @@ pub struct ModelChecker {
     pub max_depth: usize,
     /// Maximum number of distinct configurations visited.
     pub max_states: usize,
-    /// Maximum DFS frontier (pending-stack) size; exceeding it drops the
+    /// Maximum pending-frontier (queue) size; exceeding it drops the
     /// would-be children and marks the report incomplete, bounding memory
     /// even when `max_states` alone would not.
     pub max_frontier: usize,
@@ -65,11 +69,6 @@ pub struct ModelChecker {
     /// symmetry group: explore one representative per orbit (sound for
     /// every property the checker tests — see [`crate::canon`]).
     pub symmetry_reduction: bool,
-    /// Fingerprint-only visited membership. **Unsound** (probabilistic);
-    /// only settable via [`ModelChecker::unsound_hash_compaction`], always
-    /// reported in the [`CheckReport`], and never accepted by
-    /// [`CheckReport::proves_safety`].
-    pub hash_compaction: bool,
     /// Memoize solo-termination outcomes keyed on (local state, object
     /// values) — sound, on by default; disable for A/B measurement.
     pub solo_memo: bool,
@@ -93,12 +92,14 @@ pub struct ModelChecker {
     /// covers executions where the process runs alone.
     pub wait_free_bound: Option<usize>,
     /// Worker threads for the safety sweep. `1` (the default) runs the
-    /// sequential engine; `t > 1` runs the work-stealing sharded driver
-    /// ([`crate::shard`]) with **verdict parity**: identical pass/fail and
-    /// — on complete searches — identical state counts, in both exact and
-    /// symmetry-reduced modes. Resumed legs always run sequentially (in
-    /// FIFO order, preserving the sharded run's wave discipline), so a
-    /// checkpointed sharded run finishes to the same report.
+    /// engine inline; `t > 1` runs the work-stealing sharded driver
+    /// ([`crate::shard`]). Both discover every configuration at its minimum
+    /// depth, so while no state or frontier budget binds the report is the
+    /// same at every thread count — verdict, state counts, `deepest`, and
+    /// completeness, bounded searches included (`peak_frontier` excepted),
+    /// in exact and symmetry-reduced modes. Resumed legs always run inline
+    /// (snapshots carry no trace of the thread count), so a checkpointed
+    /// sharded run finishes to the same report.
     pub threads: usize,
 }
 
@@ -112,7 +113,6 @@ impl ModelChecker {
             max_frontier: usize::MAX,
             solo_budget: None,
             symmetry_reduction: false,
-            hash_compaction: false,
             solo_memo: true,
             max_failures: 0,
             deadline: None,
@@ -128,7 +128,7 @@ impl ModelChecker {
         self
     }
 
-    /// Bound the DFS frontier: at most `frontier` configurations pending at
+    /// Bound the frontier: at most `frontier` configurations pending at
     /// once. Searches that hit the bound degrade predictably — they finish
     /// with `complete == false` instead of growing memory without limit.
     pub fn with_frontier_budget(mut self, frontier: usize) -> Self {
@@ -144,15 +144,6 @@ impl ModelChecker {
     /// state counts shrink by up to the group order.
     pub fn with_symmetry_reduction(mut self) -> Self {
         self.symmetry_reduction = true;
-        self
-    }
-
-    /// Opt in to fingerprint-only visited membership. **Unsound**: a
-    /// fingerprint collision silently merges two distinct states, so a
-    /// passing report is probabilistic evidence, not proof — the report
-    /// records the mode and [`CheckReport::proves_safety`] rejects it.
-    pub fn unsound_hash_compaction(mut self) -> Self {
-        self.hash_compaction = true;
         self
     }
 
@@ -180,7 +171,7 @@ impl ModelChecker {
     }
 
     /// Shard the safety sweep across `threads` workers; see
-    /// [`ModelChecker::threads`]. `1` restores the sequential engine.
+    /// [`ModelChecker::threads`]. `1` restores the inline run.
     ///
     /// # Panics
     ///
@@ -232,10 +223,12 @@ impl ModelChecker {
 
     /// The single engine-driving core behind [`ModelChecker::check`],
     /// [`ModelChecker::check_paused`], [`ModelChecker::resume`], and the
-    /// snapshot-file entry points: build dedup/arena/visitor, run (or
-    /// resume) the engine under the configured crash and time budgets, then
-    /// — if the safety sweep finished uninterrupted and clean — run the
-    /// wait-freedom product search.
+    /// snapshot-file entry points: build the dedup set and one checker
+    /// visitor per worker, run (or resume) the min-depth search under the
+    /// configured crash and time budgets, merge the workers back — solo
+    /// memo overlays into `memo`, hit counters summed, violations by
+    /// [`merge_violations`] — then, if the safety sweep finished
+    /// uninterrupted and clean, run the wait-freedom product search.
     fn run_engine<P: Protocol>(
         &self,
         protocol: &P,
@@ -246,90 +239,67 @@ impl ModelChecker {
     ) -> Result<CheckReport, ResumeError> {
         let initial =
             Configuration::initial(protocol, inputs).expect("model checker requires valid inputs");
-        let (stats, sweep_violation, solo_memo_hits, symmetry_group, symmetry_degraded) =
-            if self.threads > 1 && resume_from.is_none() {
-                self.sharded_sweep(protocol, inputs, &initial, memo, ckpt)
-            } else {
-                // Pre-size the visited set toward the state budget (clamped:
-                // tiny protocols should not pay megabytes up front).
-                let capacity = self.max_states.min(1 << 14);
-                let mut visited: DedupSet<P> = if self.symmetry_reduction {
-                    DedupSet::reduced(Canonicalizer::for_inputs(protocol, inputs), capacity)
-                } else {
-                    DedupSet::exact(capacity)
-                };
-                if self.hash_compaction {
-                    visited = visited.unsound_hash_compaction();
-                }
-                let mut arena = ScheduleArena::new();
-                let mut visitor = CheckVisitor {
-                    task: protocol.task(),
-                    inputs,
-                    solo_budget: self.solo_budget,
-                    solo_memo: self.solo_memo,
-                    memo,
-                    solo_scratch: None,
-                    solo_memo_hits: 0,
-                    violation: None,
-                };
-                let mut engine = Engine::new(Budget {
-                    max_depth: self.max_depth,
-                    max_states: self.max_states,
-                    max_frontier: self.max_frontier,
-                });
-                if let Some(deadline) = self.deadline {
-                    engine = engine.with_deadline(deadline);
-                }
-                // `f = 0` makes `CrashBounded` the identity wrapper, so the
-                // failure-free checker takes this same path.
-                let mut expansion = CrashBounded::new(AllRunning, self.max_failures);
-                let stats = match resume_from {
-                    None => engine.run_with(
-                        protocol,
-                        initial.clone(),
-                        &mut visited,
-                        &mut arena,
-                        &mut expansion,
-                        &mut Lifo::new(),
-                        &mut visitor,
-                        ckpt,
-                    ),
-                    // A resumed sharded image is a depth-ordered wave snapshot:
-                    // finishing it in FIFO order preserves the min-depth
-                    // discovery invariant, so the completed report matches an
-                    // uninterrupted sharded run. Resume itself stays sequential.
-                    Some(image) if self.threads > 1 => engine.resume(
-                        protocol,
-                        initial.clone(),
-                        image,
-                        &mut visited,
-                        &mut arena,
-                        &mut expansion,
-                        &mut Fifo::new(),
-                        &mut visitor,
-                        ckpt,
-                    )?,
-                    Some(image) => engine.resume(
-                        protocol,
-                        initial.clone(),
-                        image,
-                        &mut visited,
-                        &mut arena,
-                        &mut expansion,
-                        &mut Lifo::new(),
-                        &mut visitor,
-                        ckpt,
-                    )?,
-                };
-                (
-                    stats,
-                    visitor.violation,
-                    visitor.solo_memo_hits,
-                    visited.group_order(),
-                    visited.degraded(),
-                )
-            };
-        let mut violation = sweep_violation;
+        // Pre-size the visited set toward the state budget (clamped: tiny
+        // protocols should not pay megabytes up front).
+        let capacity = self.max_states.min(1 << 14);
+        let dedup: DedupSet<P> = if self.symmetry_reduction {
+            DedupSet::reduced(Canonicalizer::for_inputs(protocol, inputs), capacity)
+        } else {
+            DedupSet::exact(capacity)
+        };
+        let (symmetry_group, symmetry_degraded) = (dedup.group_order(), dedup.degraded());
+        let mut engine = Engine::new(Budget {
+            max_depth: self.max_depth,
+            max_states: self.max_states,
+            max_frontier: self.max_frontier,
+        });
+        if let Some(deadline) = self.deadline {
+            engine = engine.with_deadline(deadline);
+        }
+        // The sharded driver does not resume; snapshots carry no trace of
+        // the thread count, so a resumed leg runs inline.
+        let workers = if resume_from.is_some() {
+            1
+        } else {
+            self.threads
+        };
+        let mut visitors: Vec<CheckVisitor<'_, P>> = (0..workers)
+            .map(|_| CheckVisitor {
+                task: protocol.task(),
+                inputs,
+                solo_budget: self.solo_budget,
+                solo_memo: self.solo_memo,
+                memo: LayeredMemo {
+                    base: &*memo,
+                    local: SoloMemo::new(),
+                },
+                solo_scratch: None,
+                solo_memo_hits: 0,
+                violation: None,
+            })
+            .collect();
+        // `f = 0` makes `CrashBounded` the identity wrapper, so the
+        // failure-free checker takes this same path.
+        let (stats, _) = engine.run_min_depth(
+            protocol,
+            initial.clone(),
+            dedup,
+            || CrashBounded::new(AllRunning, self.max_failures),
+            &mut visitors,
+            resume_from,
+            ckpt,
+        )?;
+        let mut violation = None;
+        let mut solo_memo_hits = 0;
+        let mut locals = Vec::with_capacity(visitors.len());
+        for worker in visitors {
+            solo_memo_hits += worker.solo_memo_hits;
+            violation = merge_violations(violation, worker.violation);
+            locals.push(worker.memo.local);
+        }
+        for local in locals {
+            memo.merge(local);
+        }
         let mut complete = stats.complete();
         // Wait-freedom runs only once the safety sweep ran to its natural
         // end (an interrupted run re-checks it after the resumed leg, so
@@ -355,90 +325,11 @@ impl ModelChecker {
             peak_frontier: stats.peak_frontier,
             symmetry_group,
             symmetry_degraded,
-            hash_compaction: self.hash_compaction,
             solo_memo_hits,
             deadline_truncated: stats.deadline_truncated,
             paused: stats.paused,
             violation,
         })
-    }
-
-    /// The work-stealing leg of [`ModelChecker::run_engine`]: shard the
-    /// safety sweep across `self.threads` workers over a [`StripedDedup`]
-    /// built from the same dedup template the sequential path would use.
-    /// Each worker carries its own checker visitor layered over the shared
-    /// solo-termination memo; after the join, worker memos fold back into
-    /// the caller's memo, hit counters are summed, and the reported
-    /// violation is the deterministic minimum across workers (kind rank,
-    /// then schedule length, then lexicographic schedule).
-    fn sharded_sweep<P: Protocol>(
-        &self,
-        protocol: &P,
-        inputs: &[u64],
-        initial: &Configuration<P>,
-        memo: &mut SoloMemo<P>,
-        ckpt: Option<Checkpointing<'_>>,
-    ) -> (SearchStats, Option<FoundViolation>, usize, usize, bool) {
-        let capacity = self.max_states.min(1 << 14);
-        let mut template: DedupSet<P> = if self.symmetry_reduction {
-            DedupSet::reduced(Canonicalizer::for_inputs(protocol, inputs), capacity)
-        } else {
-            DedupSet::exact(capacity)
-        };
-        if self.hash_compaction {
-            template = template.unsound_hash_compaction();
-        }
-        // More stripes than workers keeps lock contention low without
-        // affecting results (stripe assignment is a pure function of the
-        // fingerprint, so the partition is deterministic).
-        let striped = StripedDedup::new(template, (self.threads * 8).min(64), self.max_states);
-        let mut visitors: Vec<ShardCheckVisitor<'_, P>> = (0..self.threads)
-            .map(|_| ShardCheckVisitor {
-                task: protocol.task(),
-                inputs,
-                solo_budget: self.solo_budget,
-                solo_memo: self.solo_memo,
-                cache: LayeredMemo {
-                    base: &*memo,
-                    local: SoloMemo::new(),
-                },
-                solo_scratch: None,
-                solo_memo_hits: 0,
-                violation: None,
-            })
-            .collect();
-        let opts = ShardOptions {
-            threads: self.threads,
-            budget: Budget {
-                max_depth: self.max_depth,
-                max_states: self.max_states,
-                max_frontier: self.max_frontier,
-            },
-            deadline: self.deadline,
-        };
-        let stats = run_sharded(
-            protocol,
-            initial.clone(),
-            &striped,
-            &opts,
-            || CrashBounded::new(AllRunning, self.max_failures),
-            &mut visitors,
-            ckpt,
-        );
-        let group_order = striped.group_order();
-        let group_degraded = striped.degraded();
-        let mut hits = 0;
-        let mut violation: Option<FoundViolation> = None;
-        let mut locals = Vec::with_capacity(visitors.len());
-        for worker in visitors {
-            hits += worker.solo_memo_hits;
-            violation = merge_violations(violation, worker.violation);
-            locals.push(worker.cache.local);
-        }
-        for local in locals {
-            memo.merge(local);
-        }
-        (stats, violation, hits, group_order, group_degraded)
     }
 
     /// [`ModelChecker::check`] that pauses itself after roughly
@@ -627,7 +518,6 @@ impl ModelChecker {
             peak_frontier: 0,
             symmetry_group: 1,
             symmetry_degraded: false,
-            hash_compaction: self.hash_compaction,
             solo_memo_hits: 0,
             deadline_truncated: false,
             paused: false,
@@ -669,18 +559,82 @@ impl ModelChecker {
     }
 }
 
-/// The model checker's per-state strategy: safety predicates on every
-/// visited configuration, plus the (memoized) solo-termination check.
+/// The model checker's strategy — its one visitor, inline and sharded
+/// alike: safety predicates on every visited configuration, plus the
+/// (memoized) solo-termination check.
 struct CheckVisitor<'a, P: Protocol> {
     task: KSetTask,
     inputs: &'a [u64],
     solo_budget: Option<usize>,
     solo_memo: bool,
-    memo: &'a mut SoloMemo<P>,
+    memo: LayeredMemo<'a, P>,
     /// Scratch configuration recycled between hypothetical solo runs.
     solo_scratch: Option<Configuration<P>>,
     solo_memo_hits: usize,
     violation: Option<FoundViolation>,
+}
+
+impl<P: Protocol> CheckVisitor<'_, P> {
+    /// First the safety predicates on the configuration, then (when
+    /// `solo_budget` is set) the obstruction-freedom check: every running
+    /// process decides solo. The solo outcome depends only on the
+    /// process's local state and the object values, so it is memoized on
+    /// exactly that key (with the visited sets' exact-fallback discipline);
+    /// misses run on the recycled scratch configuration, not a fresh clone.
+    /// Under [`AllRunning`] the step candidates are exactly the running
+    /// processes; crash candidates injected by [`CrashBounded`] are skipped
+    /// — a crashed process has no solo run to check.
+    fn violation_kind(
+        &mut self,
+        protocol: &P,
+        config: &Configuration<P>,
+        candidates: &[Action],
+    ) -> Option<ViolationKind> {
+        if let Err(v) = self
+            .task
+            .check_decisions(self.inputs, config.decisions_iter())
+        {
+            return Some(ViolationKind::Task(v));
+        }
+        let budget = self.solo_budget?;
+        for pid in candidates.iter().filter_map(|a| match *a {
+            Action::Step(p) => Some(p),
+            Action::Crash(_) => None,
+        }) {
+            let state = config.state(pid).expect("running implies a state");
+            let key = self.solo_memo.then(|| SoloMemo::<P>::key(state, config));
+            let outcome = match key.and_then(|key| self.memo.lookup(key, state, config)) {
+                Some(cached) => {
+                    self.solo_memo_hits += 1;
+                    cached
+                }
+                None => {
+                    let scratch = match &mut self.solo_scratch {
+                        Some(s) => {
+                            s.clone_state_from(config);
+                            s
+                        }
+                        None => self.solo_scratch.insert(config.clone()),
+                    };
+                    let outcome = match solo_run(protocol, scratch, pid, budget) {
+                        Ok(_) => SoloVerdict::Decides,
+                        Err(SoloRunError::BudgetExhausted { .. }) => SoloVerdict::Stuck,
+                        Err(e) => SoloVerdict::Error(Arc::from(e.to_string().as_str())),
+                    };
+                    if let Some(key) = key {
+                        self.memo.store(key, state.clone(), config, outcome.clone());
+                    }
+                    outcome
+                }
+            };
+            match outcome {
+                SoloVerdict::Decides => {}
+                SoloVerdict::Stuck => return Some(ViolationKind::SoloTermination { pid, budget }),
+                SoloVerdict::Error(msg) => return Some(ViolationKind::Internal(msg.to_string())),
+            }
+        }
+        None
+    }
 }
 
 impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
@@ -691,30 +645,25 @@ impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
         ctx: &NodeCtx<'_>,
         candidates: &[Action],
     ) -> Control {
-        if let Some(v) = evaluate_state(
-            &self.task,
-            self.inputs,
-            self.solo_budget,
-            self.solo_memo,
-            protocol,
-            config,
-            candidates,
-            &mut *self.memo,
-            &mut self.solo_scratch,
-            &mut self.solo_memo_hits,
-            &mut || ctx.actions(),
-        ) {
-            self.violation = Some(v);
-            return Control::Stop;
+        match self.violation_kind(protocol, config, candidates) {
+            None => Control::Continue,
+            Some(kind) => {
+                // The witness is materialized only when a violation is
+                // actually reported.
+                self.violation = Some(FoundViolation {
+                    kind,
+                    schedule: ctx.actions(),
+                });
+                Control::Stop
+            }
         }
-        Control::Continue
     }
 
     fn step_error(
         &mut self,
         _protocol: &P,
         error: crate::config::SimError,
-        ctx: &mut EdgeCtx<'_>,
+        ctx: &EdgeCtx<'_>,
     ) -> Control {
         // The simulator rejected a step (or the protocol panicked inside
         // it, surfaced as [`crate::config::SimError::Panicked`] by the
@@ -728,150 +677,12 @@ impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
     }
 }
 
-/// Per-worker strategy for the sharded sweep: the same per-state checks as
-/// [`CheckVisitor`], with witnesses materialized from the sharded arenas
-/// and solo-memo traffic routed through a thread-local [`LayeredMemo`].
-struct ShardCheckVisitor<'a, P: Protocol> {
-    task: KSetTask,
-    inputs: &'a [u64],
-    solo_budget: Option<usize>,
-    solo_memo: bool,
-    cache: LayeredMemo<'a, P>,
-    solo_scratch: Option<Configuration<P>>,
-    solo_memo_hits: usize,
-    violation: Option<FoundViolation>,
-}
-
-impl<P: Protocol> ShardVisitor<P> for ShardCheckVisitor<'_, P> {
-    fn enter(
-        &mut self,
-        protocol: &P,
-        config: &Configuration<P>,
-        witness: &WitnessRef<'_>,
-        candidates: &[Action],
-    ) -> Control {
-        if let Some(v) = evaluate_state(
-            &self.task,
-            self.inputs,
-            self.solo_budget,
-            self.solo_memo,
-            protocol,
-            config,
-            candidates,
-            &mut self.cache,
-            &mut self.solo_scratch,
-            &mut self.solo_memo_hits,
-            &mut || witness.actions(),
-        ) {
-            self.violation = Some(v);
-            return Control::Stop;
-        }
-        Control::Continue
-    }
-
-    fn step_error(
-        &mut self,
-        _protocol: &P,
-        error: crate::config::SimError,
-        witness: &WitnessRef<'_>,
-    ) -> Control {
-        // Same contract as the sequential visitor's `step_error`.
-        self.violation = Some(FoundViolation {
-            kind: ViolationKind::Internal(error.to_string()),
-            schedule: witness.actions(),
-        });
-        Control::Stop
-    }
-}
-
-/// Per-state evaluation shared by the sequential and sharded checker
-/// visitors.
-///
-/// First the safety predicates on the configuration, then (when
-/// `solo_budget` is set) the obstruction-freedom check: every running
-/// process decides solo. The solo outcome depends only on the process's
-/// local state and the object values, so it is memoized on exactly that
-/// key (with the visited sets' exact-fallback discipline); misses run on
-/// the recycled scratch configuration, not a fresh clone. Under
-/// [`AllRunning`] the step candidates are exactly the running processes;
-/// crash candidates injected by [`CrashBounded`] are skipped — a crashed
-/// process has no solo run to check. `witness` materializes the reaching
-/// schedule only when a violation is actually reported.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_state<P: Protocol>(
-    task: &KSetTask,
-    inputs: &[u64],
-    solo_budget: Option<usize>,
-    use_memo: bool,
-    protocol: &P,
-    config: &Configuration<P>,
-    candidates: &[Action],
-    cache: &mut dyn SoloCache<P>,
-    solo_scratch: &mut Option<Configuration<P>>,
-    solo_memo_hits: &mut usize,
-    witness: &mut dyn FnMut() -> Vec<Action>,
-) -> Option<FoundViolation> {
-    if let Err(v) = task.check_decisions(inputs, config.decisions_iter()) {
-        return Some(FoundViolation {
-            kind: ViolationKind::Task(v),
-            schedule: witness(),
-        });
-    }
-    if let Some(budget) = solo_budget {
-        for pid in candidates.iter().filter_map(|a| match *a {
-            Action::Step(p) => Some(p),
-            Action::Crash(_) => None,
-        }) {
-            let state = config.state(pid).expect("running implies a state");
-            let outcome = match use_memo.then(|| cache.lookup(state, config)).flatten() {
-                Some(cached) => {
-                    *solo_memo_hits += 1;
-                    cached
-                }
-                None => {
-                    let scratch = match solo_scratch {
-                        Some(s) => {
-                            s.clone_state_from(config);
-                            s
-                        }
-                        None => solo_scratch.insert(config.clone()),
-                    };
-                    let outcome = match solo_run(protocol, scratch, pid, budget) {
-                        Ok(_) => SoloVerdict::Decides,
-                        Err(SoloRunError::BudgetExhausted { .. }) => SoloVerdict::Stuck,
-                        Err(e) => SoloVerdict::Error(Arc::from(e.to_string().as_str())),
-                    };
-                    if use_memo {
-                        cache.store(state.clone(), config, outcome.clone());
-                    }
-                    outcome
-                }
-            };
-            match outcome {
-                SoloVerdict::Decides => {}
-                SoloVerdict::Stuck => {
-                    return Some(FoundViolation {
-                        kind: ViolationKind::SoloTermination { pid, budget },
-                        schedule: witness(),
-                    });
-                }
-                SoloVerdict::Error(msg) => {
-                    return Some(FoundViolation {
-                        kind: ViolationKind::Internal(msg.to_string()),
-                        schedule: witness(),
-                    });
-                }
-            }
-        }
-    }
-    None
-}
-
 /// Deterministically pick between two candidate violations: kind rank
 /// (task violations strongest), then schedule length, then lexicographic
-/// comparison of the schedules. Sharded workers race to different
-/// witnesses; this merge makes the reported one independent of thread
-/// scheduling whenever the same set of violations is found.
+/// comparison of the schedules. The one merge rule at every thread count:
+/// sharded workers race to different witnesses, and this merge makes the
+/// reported one independent of thread scheduling whenever the same set of
+/// violations is found.
 fn merge_violations(
     a: Option<FoundViolation>,
     b: Option<FoundViolation>,
@@ -919,13 +730,6 @@ enum SoloVerdict {
     Error(Arc<str>),
 }
 
-/// Memo of solo-run outcomes keyed on `(local state, object values)` — the
-/// complete determinants of a solo execution (the paper's solo runs read
-/// nothing else), so the cache is sound by construction. Same discipline as
-/// the visited sets: an FxHash fingerprint selects a bucket, exact equality
-/// on the key decides a hit, so correctness never rests on hash quality.
-/// Object vectors are stored as copy-on-write handles (refcount bumps, no
-/// value copies).
 /// One memo entry: the solo-determining key plus the cached verdict.
 type SoloMemoEntry<P> = (
     <P as Protocol>::State,
@@ -933,6 +737,13 @@ type SoloMemoEntry<P> = (
     SoloVerdict,
 );
 
+/// Memo of solo-run outcomes keyed on `(local state, object values)` — the
+/// complete determinants of a solo execution (the paper's solo runs read
+/// nothing else), so the cache is sound by construction. Same discipline as
+/// the visited sets: an FxHash fingerprint selects a bucket, exact equality
+/// on the key decides a hit, so correctness never rests on hash quality.
+/// Object vectors are stored as copy-on-write handles (refcount bumps, no
+/// value copies).
 struct SoloMemo<P: Protocol> {
     buckets: PrehashedMap<Vec<SoloMemoEntry<P>>>,
 }
@@ -952,26 +763,30 @@ impl<P: Protocol> SoloMemo<P> {
         h.finish()
     }
 
-    fn get(&self, state: &P::State, config: &Configuration<P>) -> Option<SoloVerdict> {
-        let bucket = self.buckets.get(&Self::key(state, config))?;
+    fn get(&self, key: u64, state: &P::State, config: &Configuration<P>) -> Option<SoloVerdict> {
+        let bucket = self.buckets.get(&key)?;
         bucket
             .iter()
             .find(|(s, objects, _)| s == state && objects[..] == *config.object_values())
             .map(|(_, _, verdict)| verdict.clone())
     }
 
-    fn put(&mut self, state: P::State, config: &Configuration<P>, verdict: SoloVerdict) {
-        self.buckets
-            .entry(Self::key(&state, config))
-            .or_default()
-            .push((state, Arc::clone(config.objects_handle()), verdict));
+    fn put(&mut self, key: u64, state: P::State, config: &Configuration<P>, verdict: SoloVerdict) {
+        self.buckets.entry(key).or_default().push((
+            state,
+            Arc::clone(config.objects_handle()),
+            verdict,
+        ));
     }
 
-    /// Fold another memo into this one (absorbing a sharded worker's local
-    /// overlay after the join). Keys already present keep their entry: the
-    /// verdict for a given key is deterministic, so which copy survives is
-    /// immaterial.
+    /// Fold a worker's overlay into this memo after the run. Keys already
+    /// present keep their entry: the verdict for a given key is
+    /// deterministic, so which copy survives is immaterial.
     fn merge(&mut self, other: SoloMemo<P>) {
+        if self.buckets.is_empty() {
+            *self = other;
+            return;
+        }
         for (key, entries) in other.buckets {
             let bucket = self.buckets.entry(key).or_default();
             for (state, objects, verdict) in entries {
@@ -986,43 +801,31 @@ impl<P: Protocol> SoloMemo<P> {
     }
 }
 
-/// Solo-memo access abstracted over the sequential visitor (one mutable
-/// memo) and the sharded workers (a shared read-only base under a
-/// thread-local overlay).
-trait SoloCache<P: Protocol> {
-    fn lookup(&self, state: &P::State, config: &Configuration<P>) -> Option<SoloVerdict>;
-    fn store(&mut self, state: P::State, config: &Configuration<P>, verdict: SoloVerdict);
-}
-
-impl<P: Protocol> SoloCache<P> for SoloMemo<P> {
-    fn lookup(&self, state: &P::State, config: &Configuration<P>) -> Option<SoloVerdict> {
-        self.get(state, config)
-    }
-
-    fn store(&mut self, state: P::State, config: &Configuration<P>, verdict: SoloVerdict) {
-        self.put(state, config, verdict);
-    }
-}
-
-/// Two-level solo memo for sharded workers: lookups consult the shared
-/// base (results accumulated by earlier runs or inputs) and then the
-/// worker-local overlay; new verdicts land in the overlay only, so workers
-/// never contend on the memo. [`SoloMemo::merge`] folds overlays back into
-/// the base after the join.
+/// The checker visitor's view of the solo memo: lookups consult the shared
+/// base (results of earlier runs or inputs) and then the worker-local
+/// overlay; new verdicts land in the overlay only, so sharded workers never
+/// contend on the memo. [`SoloMemo::merge`] folds the overlays back into
+/// the base after every run, at every thread count.
 struct LayeredMemo<'a, P: Protocol> {
     base: &'a SoloMemo<P>,
     local: SoloMemo<P>,
 }
 
-impl<P: Protocol> SoloCache<P> for LayeredMemo<'_, P> {
-    fn lookup(&self, state: &P::State, config: &Configuration<P>) -> Option<SoloVerdict> {
+impl<P: Protocol> LayeredMemo<'_, P> {
+    fn lookup(&self, key: u64, state: &P::State, config: &Configuration<P>) -> Option<SoloVerdict> {
         self.base
-            .get(state, config)
-            .or_else(|| self.local.get(state, config))
+            .get(key, state, config)
+            .or_else(|| self.local.get(key, state, config))
     }
 
-    fn store(&mut self, state: P::State, config: &Configuration<P>, verdict: SoloVerdict) {
-        self.local.put(state, config, verdict);
+    fn store(
+        &mut self,
+        key: u64,
+        state: P::State,
+        config: &Configuration<P>,
+        verdict: SoloVerdict,
+    ) {
+        self.local.put(key, state, config, verdict);
     }
 }
 
@@ -1049,13 +852,9 @@ pub struct CheckReport {
     /// [`MAX_GROUP_ORDER`](crate::canon::MAX_GROUP_ORDER) (a maximal
     /// subgroup under the cap was kept) or was inconsistent with the
     /// instance (trivial group). The verdict stays sound either way; the
-    /// flag exists so a declared-but-lost reduction is reported, like
-    /// `hash_compaction` is, instead of silently running wider than
-    /// declared.
+    /// flag exists so a declared-but-lost reduction is reported instead of
+    /// silently running wider than declared.
     pub symmetry_degraded: bool,
-    /// Whether the (unsound, opt-in) hash-compaction mode was active — if
-    /// so, a passing verdict is probabilistic and never a safety proof.
-    pub hash_compaction: bool,
     /// Solo-termination checks answered from the memo instead of re-run.
     pub solo_memo_hits: usize,
     /// The wall-clock deadline expired with work still pending. Recoverable
@@ -1074,11 +873,9 @@ impl CheckReport {
         self.violation.is_none()
     }
 
-    /// Whether the check passed *and* explored the full reachable space
-    /// *and* used exact state dedup — a hash-compacted run can never prove
-    /// safety, no matter how it went.
+    /// Whether the check passed *and* explored the full reachable space.
     pub fn proves_safety(&self) -> bool {
-        self.passed() && self.complete && !self.hash_compaction
+        self.passed() && self.complete
     }
 
     /// Whether two runs reached the same *verdict*: same pass/fail, same
@@ -1103,7 +900,7 @@ impl fmt::Display for CheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} states ({} terminal), deepest schedule {}, {}{}{}{}",
+            "{} states ({} terminal), deepest schedule {}, {}{}{}",
             self.states,
             self.terminal_states,
             self.deepest,
@@ -1126,11 +923,6 @@ impl fmt::Display for CheckReport {
             } else {
                 ""
             },
-            if self.hash_compaction {
-                " [hash-compacted: probabilistic]"
-            } else {
-                ""
-            }
         )
     }
 }
@@ -1504,25 +1296,6 @@ mod tests {
             .with_symmetry_reduction()
             .check(&TwoProcessSwapConsensus, &[0, 1]);
         assert!(!clean.symmetry_degraded, "{clean}");
-    }
-
-    #[test]
-    fn hash_compaction_is_reported_and_never_proves_safety() {
-        let report = ModelChecker::new(10, 10_000)
-            .unsound_hash_compaction()
-            .check(&TwoProcessSwapConsensus, &[0, 1]);
-        assert!(report.hash_compaction);
-        assert!(report.passed());
-        assert!(report.complete);
-        assert!(
-            !report.proves_safety(),
-            "a compacted run must never claim proof: {report}"
-        );
-        assert!(report.to_string().contains("hash-compacted"));
-        // Plain runs are unaffected.
-        let exact = ModelChecker::new(10, 10_000).check(&TwoProcessSwapConsensus, &[0, 1]);
-        assert!(!exact.hash_compaction);
-        assert!(exact.proves_safety());
     }
 
     #[test]

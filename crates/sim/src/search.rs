@@ -54,28 +54,49 @@ pub(crate) type PrehashedMap<V> =
 /// are told apart by full equality — the set is exact even under adversarial
 /// collisions (see [`VisitedSet::with_fingerprint_mask`], which the tests
 /// use to force every configuration into one bucket).
-///
-/// The opt-in [`VisitedSet::unsound_hash_compaction`] mode drops the stored
-/// configurations and the exact fallback with them: membership becomes
-/// fingerprint-presence only, which is **probabilistic** — a collision
-/// silently merges two distinct states. Never the default; the model checker
-/// reports the mode in its `CheckReport` and refuses to call a compacted run
-/// a safety proof.
 pub struct VisitedSet<P: Protocol> {
     buckets: PrehashedMap<Bucket<P>>,
     len: usize,
     mask: u64,
-    compaction: bool,
     fallback_comparisons: usize,
 }
 
-/// One fingerprint's worth of configurations: the first occupant is stored
-/// inline (no allocation on the no-collision fast path); genuine collisions
-/// spill into `rest`, which stays unallocated while empty. Under hash
-/// compaction nothing is stored at all (`first == None`).
-struct Bucket<P: Protocol> {
-    first: Option<Configuration<P>>,
-    rest: Vec<Configuration<P>>,
+/// One key's worth of stored configurations, shared by the exact and the
+/// orbit-keyed visited sets: the first occupant inline (no allocation on
+/// the no-collision fast path), further ones in a chain of boxed buckets
+/// (genuine collisions are rare). The one-word chain link keeps a map entry
+/// (key plus bucket) at 64 bytes, one cache line: breadth-first search
+/// probes entries written a whole depth layer earlier, long out of cache,
+/// so each probe should pull a single line.
+pub(crate) struct Bucket<P: Protocol> {
+    first: Configuration<P>,
+    rest: Option<Box<Bucket<P>>>,
+}
+
+impl<P: Protocol> Bucket<P> {
+    pub(crate) fn new(config: &Configuration<P>) -> Self {
+        Bucket {
+            first: config.clone(),
+            rest: None,
+        }
+    }
+
+    /// Stored configurations.
+    pub(crate) fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Configuration<P>> {
+        std::iter::successors(Some(self), |b| b.rest.as_deref()).map(|b| &b.first)
+    }
+
+    pub(crate) fn push(&mut self, config: &Configuration<P>) {
+        let rest = self.rest.take();
+        self.rest = Some(Box::new(Bucket {
+            first: config.clone(),
+            rest,
+        }));
+    }
 }
 
 impl<P: Protocol> Default for VisitedSet<P> {
@@ -84,7 +105,6 @@ impl<P: Protocol> Default for VisitedSet<P> {
             buckets: PrehashedMap::default(),
             len: 0,
             mask: u64::MAX,
-            compaction: false,
             fallback_comparisons: 0,
         }
     }
@@ -116,17 +136,6 @@ impl<P: Protocol> VisitedSet<P> {
         }
     }
 
-    /// Switch to fingerprint-only membership (no stored configurations, no
-    /// exact fallback). **Unsound**: fingerprint collisions merge distinct
-    /// states silently, so any "no violation" verdict becomes probabilistic.
-    /// Exists for memory-bound sweeps where an approximate answer is
-    /// explicitly acceptable; never the default.
-    #[must_use]
-    pub fn unsound_hash_compaction(mut self) -> Self {
-        self.compaction = true;
-        self
-    }
-
     fn key(&self, config: &Configuration<P>) -> u64 {
         config.fingerprint() & self.mask
     }
@@ -138,15 +147,13 @@ impl<P: Protocol> VisitedSet<P> {
         self.key(config)
     }
 
-    /// An empty set with this set's mask and compaction policy — the stripe
-    /// factory for [`crate::shard`]: each stripe deduplicates its share of
+    /// An empty set with this set's mask — the stripe factory for [`crate::shard`]: each stripe deduplicates its share of
     /// the key space under the same exact-fallback discipline.
     pub(crate) fn stripe_clone(&self) -> Self {
         VisitedSet {
             buckets: PrehashedMap::default(),
             len: 0,
             mask: self.mask,
-            compaction: self.compaction,
             fallback_comparisons: 0,
         }
     }
@@ -165,47 +172,33 @@ impl<P: Protocol> VisitedSet<P> {
         use std::collections::hash_map::Entry;
         match self.buckets.entry(key) {
             Entry::Vacant(slot) => {
-                slot.insert(Bucket {
-                    first: (!self.compaction).then(|| config.clone()),
-                    rest: Vec::new(),
-                });
+                slot.insert(Bucket::new(config));
                 self.len += 1;
                 true
             }
             Entry::Occupied(mut slot) => {
-                if self.compaction {
-                    // Key present = assumed visited; no exact fallback.
-                    return false;
-                }
                 let bucket = slot.get_mut();
-                self.fallback_comparisons += 1 + bucket.rest.len();
-                if bucket.first.as_ref() == Some(config) || bucket.rest.iter().any(|c| c == config)
-                {
+                self.fallback_comparisons += bucket.len();
+                if bucket.iter().any(|c| c == config) {
                     return false;
                 }
-                bucket.rest.push(config.clone());
+                bucket.push(config);
                 self.len += 1;
                 true
             }
         }
     }
 
-    /// Whether `config` is already present (under hash compaction: whether
-    /// its fingerprint is).
+    /// Whether `config` is already present.
     pub fn contains(&self, config: &Configuration<P>) -> bool {
         self.contains_prekeyed(self.key(config), config)
     }
 
     /// [`VisitedSet::contains`] with the bucket key already computed.
     pub(crate) fn contains_prekeyed(&self, key: u64, config: &Configuration<P>) -> bool {
-        match self.buckets.get(&key) {
-            Some(bucket) => {
-                self.compaction
-                    || bucket.first.as_ref() == Some(config)
-                    || bucket.rest.iter().any(|c| c == config)
-            }
-            None => false,
-        }
+        self.buckets
+            .get(&key)
+            .is_some_and(|bucket| bucket.iter().any(|c| c == config))
     }
 
     /// Number of distinct configurations inserted.
@@ -497,26 +490,6 @@ mod tests {
         assert!(set.insert(&a));
         assert!(set.insert(&b));
         assert_eq!(set.fallback_comparisons(), 0);
-    }
-
-    #[test]
-    fn hash_compaction_merges_colliding_fingerprints() {
-        // The documented unsoundness of the opt-in mode, pinned down: with a
-        // zero mask every configuration shares a key, and compaction calls
-        // all but the first "visited".
-        let mut set = VisitedSet::with_fingerprint_mask(0).unsound_hash_compaction();
-        let a = init(&[0, 1]);
-        let mut b = a.clone();
-        b.step(&TwoProcessSwapConsensus, ProcessId(0)).unwrap();
-        assert!(set.insert(&a));
-        assert!(!set.insert(&b), "distinct state silently merged");
-        assert_eq!(set.len(), 1);
-        assert!(set.contains(&b), "membership is fingerprint-presence only");
-        // With real 64-bit fingerprints the same pair stays distinct.
-        let mut set = VisitedSet::new().unsound_hash_compaction();
-        assert!(set.insert(&a));
-        assert!(set.insert(&b));
-        assert_eq!(set.len(), 2);
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Sharded (multi-worker) search driver: work-stealing exploration with
-//! sequential-parity guarantees.
+//! Sharded (multi-worker) search driver: work-stealing exploration in
+//! depth-synchronized waves.
 //!
-//! This module is the engine's parallel mode (ROADMAP item 1). It keeps the
-//! exploration *semantics* of [`crate::engine`] — the same per-node hook
-//! order, the same exact budget discipline, the same witness materialization
-//! — while spreading node expansion across a pool of `std::thread` workers
-//! (the vendored [`workpool`] crate; the build is offline, so no
-//! rayon/crossbeam).
+//! This module is the engine's parallel mode. It keeps the exploration
+//! *semantics* of [`crate::engine`] — the same [`Visitor`] with the same
+//! per-node hook order and the same [`NodeCtx`]/[`EdgeCtx`] views, the same
+//! exact budget discipline, the same witness materialization — while
+//! spreading node expansion across a pool of `std::thread` workers (the
+//! vendored [`workpool`] crate; the build is offline, so no
+//! rayon/crossbeam). Clients reach it through
+//! [`Engine::run_min_depth`](crate::engine::Engine::run_min_depth), which
+//! runs a single worker inline on the engine's FIFO order instead.
 //!
 //! # Threading model: depth-synchronized waves
 //!
@@ -23,11 +26,12 @@
 //!   of thread count and steal order — so the per-wave discovered sets, and
 //!   with them `states`, `terminal_states`, `deepest`, and the truncation
 //!   flags of [`SearchStats`], are reproducible run to run;
-//! * on a **complete** search those counters equal the sequential engine's
-//!   exactly (the reachable set does not depend on exploration order), which
-//!   is the parity the CI gate enforces for `with_threads(t)`, t ∈ {1,2,4};
-//! * a checkpoint drained mid-run (see below) resumes — sequentially, FIFO —
-//!   to the byte-identical report of the uninterrupted sharded run.
+//! * the inline one-worker run (a [`Fifo`](crate::engine::Fifo) frontier)
+//!   discovers the same min-depth sets, so while no state or frontier
+//!   budget binds those counters equal the t=1 report exactly — complete
+//!   and depth-bounded searches alike;
+//! * a checkpoint drained mid-run (see below) resumes — inline, FIFO —
+//!   to the byte-identical report of the uninterrupted run.
 //!
 //! `peak_frontier` is the one deliberately *approximate* counter (a
 //! high-water mark sampled through an atomic); it is excluded from every
@@ -59,7 +63,6 @@
 //! ordered shallowest-first so a FIFO resume preserves the min-depth
 //! invariant.
 
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -69,9 +72,10 @@ use workpool::WorkQueues;
 use crate::canon::DedupSet;
 use crate::config::{Configuration, SimError};
 use crate::engine::{
-    panic_message, Budget, Checkpointing, Control, Expansion, SearchImage, SearchStats,
+    take_action, Budget, Checkpointing, Control, EdgeCtx, Expansion, NodeCtx, SearchImage,
+    SearchStats, TreePos, Visitor,
 };
-use crate::ids::{Action, ProcessId};
+use crate::ids::Action;
 use crate::protocol::Protocol;
 use crate::search::{NodeId, ScheduleArena};
 
@@ -85,7 +89,7 @@ const IDX_BITS: u32 = 27;
 /// arena in the low 27. `u32::MAX` is the root (empty schedule), mirroring
 /// [`ScheduleArena::ROOT`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct GNode(u32);
+pub(crate) struct GNode(u32);
 
 impl GNode {
     /// The root of the schedule tree (no owner; depth 0).
@@ -112,7 +116,8 @@ impl GNode {
 /// nodes under its own (uncontended) lock, and witness materialization walks
 /// parent chains across shards locking one shard at a time — never two at
 /// once, so there is no lock-order deadlock.
-struct ShardedArenas {
+#[derive(Debug)]
+pub(crate) struct ShardedArenas {
     /// One arena per worker: `(parent, packed action, depth)` per node, the
     /// packed-action format of [`ScheduleArena::raw_nodes`].
     shards: Vec<Mutex<Vec<(GNode, u32, u32)>>>,
@@ -135,7 +140,7 @@ impl ShardedArenas {
 
     /// Materialize the action sequence from the root to `node` — the cold
     /// witness path, locking one shard per hop.
-    fn actions_of(&self, node: GNode) -> Vec<Action> {
+    pub(crate) fn actions_of(&self, node: GNode) -> Vec<Action> {
         let mut out = Vec::new();
         let mut cur = node;
         while cur != GNode::ROOT {
@@ -183,8 +188,8 @@ pub enum StripedInsert {
 /// thereby shared read-only across all workers. The key (an orbit invariant,
 /// masked by the collision-forcing test hook exactly as in the sequential
 /// sets) selects a stripe; each stripe is an independent copy of the
-/// underlying set (same mode, group, mask, and compaction policy) behind its
-/// own mutex, preserving the exact-fallback discipline per stripe.
+/// underlying set (same mode, group, and mask) behind its own mutex,
+/// preserving the exact-fallback discipline per stripe.
 ///
 /// The state budget is a global atomic reserved by compare-and-swap
 /// *before* a new configuration is stored, so `len()` can never exceed
@@ -199,7 +204,7 @@ pub struct StripedDedup<P: Protocol> {
 impl<P: Protocol> StripedDedup<P> {
     /// Build a striped set from a freshly configured (empty) `template`:
     /// the template becomes the shared keyer, and each of the `stripes`
-    /// stripes is an empty clone of its mode/group/mask/compaction.
+    /// stripes is an empty clone of its mode/group/mask.
     ///
     /// # Panics
     ///
@@ -363,92 +368,12 @@ impl DeadlineState {
     }
 }
 
-/// Read-only view of a node's position in the sharded schedule tree, handed
-/// to [`ShardVisitor`] hooks. Materializing the schedule walks the
-/// cross-shard parent chain (locking one shard at a time); like the
-/// sequential engine's lazy `EdgeCtx`, nothing is allocated unless a hook
-/// actually asks for a witness.
-pub struct WitnessRef<'a> {
-    arenas: &'a ShardedArenas,
-    node: GNode,
-    /// For edge hooks: the action appended after `node`'s own chain (the
-    /// edge's arena node may not exist — duplicate edges never get one).
-    action: Option<Action>,
-}
-
-impl WitnessRef<'_> {
-    /// The action sequence from the root to (and including, for edge hooks)
-    /// this position — replayable via [`crate::runner::replay_actions`].
-    pub fn actions(&self) -> Vec<Action> {
-        let mut out = self.arenas.actions_of(self.node);
-        if let Some(action) = self.action {
-            out.push(action);
-        }
-        out
-    }
-
-    /// The schedule (pid projection of [`WitnessRef::actions`]).
-    pub fn schedule(&self) -> Vec<ProcessId> {
-        self.actions().iter().map(|a| a.pid()).collect()
-    }
-}
-
-impl std::fmt::Debug for WitnessRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WitnessRef")
-            .field("node", &self.node)
-            .field("action", &self.action)
-            .finish()
-    }
-}
-
-/// Per-worker visitor for the sharded driver — the counterpart of
-/// [`crate::engine::Visitor`], with the same hook order per processed node:
-/// `enter` (with expansion candidates), then one `edge` or `step_error`
-/// call per in-budget candidate. Each worker owns one visitor; the caller
-/// merges worker results after the join.
-pub trait ShardVisitor<P: Protocol>: Send {
-    /// Called once per claimed node.
-    fn enter(
-        &mut self,
-        protocol: &P,
-        config: &Configuration<P>,
-        witness: &WitnessRef<'_>,
-        candidates: &[Action],
-    ) -> Control;
-
-    /// Called for every generated in-budget edge, including edges to
-    /// already-known configurations (`is_new == false`), before the child
-    /// is enqueued. `decided` is always `None` for crash edges.
-    fn edge(
-        &mut self,
-        _protocol: &P,
-        _child: &Configuration<P>,
-        _decided: Option<u64>,
-        _is_new: bool,
-        _witness: &WitnessRef<'_>,
-    ) -> Control {
-        Control::Continue
-    }
-
-    /// Called when the simulator rejects a candidate step (or the protocol
-    /// panics). `Continue` skips the edge and marks the search incomplete;
-    /// `Stop` aborts.
-    fn step_error(
-        &mut self,
-        _protocol: &P,
-        _error: SimError,
-        _witness: &WitnessRef<'_>,
-    ) -> Control {
-        Control::Stop
-    }
-}
-
 /// Options for [`run_sharded`].
 #[derive(Debug)]
 pub struct ShardOptions {
-    /// Worker count (2..=[`MAX_THREADS`]; a single-threaded caller should
-    /// use the sequential engine instead).
+    /// Worker count, 2..=[`MAX_THREADS`]. One worker is the inline FIFO
+    /// run of [`Engine::run_min_depth`](crate::engine::Engine::run_min_depth),
+    /// which needs no pool.
     pub threads: usize,
     /// Exact search budgets, identical in meaning to the sequential
     /// engine's. The frontier bound is enforced against the global pending
@@ -598,8 +523,7 @@ impl<P: Protocol> Shared<'_, P> {
     }
 }
 
-/// Run a sharded search from `root`, calling one [`ShardVisitor`] per
-/// worker, and return the merged [`SearchStats`]. The root is inserted into
+/// Run a sharded search from `root`, calling one [`Visitor`] per worker, and return the merged [`SearchStats`]. The root is inserted into
 /// `dedup` here (pass a fresh set); `visitors.len()` selects the worker
 /// count and must equal `opts.threads`.
 ///
@@ -626,12 +550,12 @@ pub fn run_sharded<P, E, V>(
 where
     P: Protocol,
     E: Expansion<P> + Send,
-    V: ShardVisitor<P>,
+    V: Visitor<P> + Send,
 {
     let threads = opts.threads;
     assert!(
         (2..=MAX_THREADS).contains(&threads),
-        "sharded runs take 2..={MAX_THREADS} workers (got {threads}); use the sequential engine for 1"
+        "sharded runs take 2..={MAX_THREADS} workers (got {threads}); one worker runs inline"
     );
     assert!(visitors.len() == threads, "one visitor per worker");
     let ckpt_interval = ckpt.as_ref().map_or(0, |c| c.interval.max(1));
@@ -700,7 +624,7 @@ fn worker_loop<P, E, V>(
 ) where
     P: Protocol,
     E: Expansion<P> + Send,
-    V: ShardVisitor<P>,
+    V: Visitor<P> + Send,
 {
     let mut candidates: Vec<Action> = Vec::new();
     let mut child_scratch: Option<Configuration<P>> = None;
@@ -778,18 +702,18 @@ fn process_node<P, E, V>(
 where
     P: Protocol,
     E: Expansion<P>,
-    V: ShardVisitor<P>,
+    V: Visitor<P>,
 {
     shared.states.fetch_add(1, Ordering::SeqCst);
     shared.deepest.fetch_max(depth as usize, Ordering::SeqCst);
     candidates.clear();
     expansion.candidates(protocol, &config, candidates);
-    let witness = WitnessRef {
-        arenas: &shared.arenas,
-        node: gnode,
-        action: None,
+    let at = TreePos::Shards(&shared.arenas, gnode);
+    let ctx = NodeCtx {
+        at,
+        depth: depth as usize,
     };
-    if visitor.enter(protocol, &config, &witness, candidates) == Control::Stop {
+    if visitor.enter(protocol, &config, &ctx, candidates) == Control::Stop {
         return Control::Stop;
     }
     if candidates.is_empty() {
@@ -812,21 +736,7 @@ where
             None => child_scratch.insert(config.clone()),
         };
         scratch_synced = true;
-        let stepped = match action {
-            Action::Step(pid) => {
-                match panic::catch_unwind(AssertUnwindSafe(|| {
-                    child.step_quiet_undoable(protocol, pid)
-                })) {
-                    Ok(result) => result,
-                    Err(payload) => Err(SimError::Panicked {
-                        process: pid,
-                        message: panic_message(payload),
-                    }),
-                }
-            }
-            Action::Crash(pid) => child.crash(pid).map(|undo| (None, undo)),
-        };
-        match stepped {
+        match take_action(protocol, child, action) {
             Ok((decided, undo)) => {
                 // Budget checks first, exactly as sequentially: a child
                 // probed while a budget binds gets no edge hook, and only a
@@ -847,27 +757,18 @@ where
                         child.undo_step(undo);
                     }
                     StripedInsert::Duplicate => {
-                        let witness = WitnessRef {
-                            arenas: &shared.arenas,
-                            node: gnode,
-                            action: Some(action),
-                        };
-                        if visitor.edge(protocol, child, decided, false, &witness) == Control::Stop
-                        {
+                        let edge = EdgeCtx { parent: at, action };
+                        if visitor.edge(protocol, child, decided, false, &edge) == Control::Stop {
                             return Control::Stop;
                         }
                         child.undo_step(undo);
                     }
                     StripedInsert::New => {
-                        let child_gnode = shared.arenas.record(w, gnode, action, depth + 1);
-                        let witness = WitnessRef {
-                            arenas: &shared.arenas,
-                            node: child_gnode,
-                            action: None,
-                        };
-                        if visitor.edge(protocol, child, decided, true, &witness) == Control::Stop {
+                        let edge = EdgeCtx { parent: at, action };
+                        if visitor.edge(protocol, child, decided, true, &edge) == Control::Stop {
                             return Control::Stop;
                         }
+                        let child_gnode = shared.arenas.record(w, gnode, action, depth + 1);
                         shared.next[w].lock().expect("buffer poisoned").push((
                             child.clone(),
                             child_gnode,
@@ -884,12 +785,8 @@ where
                     // The scratch child may hold torn state: discard it.
                     *child_scratch = None;
                 }
-                let witness = WitnessRef {
-                    arenas: &shared.arenas,
-                    node: gnode,
-                    action: Some(action),
-                };
-                match visitor.step_error(protocol, error, &witness) {
+                let edge = EdgeCtx { parent: at, action };
+                match visitor.step_error(protocol, error, &edge) {
                     Control::Stop => return Control::Stop,
                     Control::Continue => {
                         shared.budget_truncated.store(true, Ordering::SeqCst);
@@ -997,7 +894,7 @@ fn release<P: Protocol>(shared: &Shared<'_, P>) {
 mod tests {
     use super::*;
     use crate::canon::DedupSet;
-    use crate::engine::{AllRunning, Engine, Lifo, NodeCtx, Visitor};
+    use crate::engine::{AllRunning, Engine, Fifo};
     use crate::search::VisitedSet;
     use crate::testing::TwoProcessSwapConsensus;
     use proptest::prelude::*;
@@ -1118,8 +1015,8 @@ mod tests {
         }
     }
 
-    /// A visitor that accepts everything — both sequentially and sharded —
-    /// so runs compare raw search stats.
+    /// A visitor that accepts everything — inline and sharded alike — so
+    /// runs compare raw search stats.
     struct Accept;
 
     impl Visitor<TwoProcessSwapConsensus> for Accept {
@@ -1128,18 +1025,6 @@ mod tests {
             _: &TwoProcessSwapConsensus,
             _: &Configuration<TwoProcessSwapConsensus>,
             _: &NodeCtx<'_>,
-            _: &[Action],
-        ) -> Control {
-            Control::Continue
-        }
-    }
-
-    impl ShardVisitor<TwoProcessSwapConsensus> for Accept {
-        fn enter(
-            &mut self,
-            _: &TwoProcessSwapConsensus,
-            _: &Configuration<TwoProcessSwapConsensus>,
-            _: &WitnessRef<'_>,
             _: &[Action],
         ) -> Control {
             Control::Continue
@@ -1155,7 +1040,7 @@ mod tests {
             &mut dedup,
             &mut arena,
             &mut AllRunning,
-            &mut Lifo::new(),
+            &mut Fifo::new(),
             &mut Accept,
         )
     }
@@ -1197,9 +1082,15 @@ mod tests {
         let budget = Budget::new(16, 100_000);
         let seq = sequential_stats(budget);
         assert!(seq.complete(), "the two-process space is tiny");
+        // A depth-1 horizon cuts the same space: the inline FIFO run and
+        // the waves cover the same min-depth ball.
+        let cut = sequential_stats(Budget::new(1, 100_000));
+        assert!(cut.depth_truncated && cut.states == 3, "{cut:?}");
         for threads in [2, 3, 4] {
             let shard = sharded_stats(budget, threads);
             assert_eq!(parity_view(shard), parity_view(seq), "threads = {threads}");
+            let shard = sharded_stats(Budget::new(1, 100_000), threads);
+            assert_eq!(parity_view(shard), parity_view(cut), "threads = {threads}");
         }
     }
 

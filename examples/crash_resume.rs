@@ -15,8 +15,10 @@
 //!
 //! `--threads N` runs the checkpointing search sharded (`N` workers) — the
 //! snapshot format is thread-count-agnostic, so the sharded CI variant
-//! kills a `--threads 2` run and resumes it with the default sequential
-//! engine, still demanding a byte-identical report.
+//! kills a `--threads 2` run and resumes it inline (t=1), still demanding a
+//! byte-identical report. Every thread count explores the same min-depth
+//! set, so the uninterrupted `--threads 2` report is itself byte-identical
+//! to the t=1 baseline, even though this workload is depth-bounded.
 //!
 //! The job then diffs `baseline.txt` against `resumed.txt`: the crash-safety
 //! contract is that a search killed at **any** instant resumes to the
@@ -184,8 +186,8 @@ fn main() -> ExitCode {
     let (p, inputs, checker) = workload();
     // Snapshot parity across thread counts is part of the crash-safety
     // contract: a sharded checkpointing run killed mid-flight resumes —
-    // sequentially, as `ModelChecker::resume*` always does — to the same
-    // report as an uninterrupted sequential baseline.
+    // inline, as `ModelChecker::resume*` always does — to the same report
+    // as an uninterrupted run at any thread count.
     let checker = checker.with_threads(args.threads);
     let outcome = if args.resume {
         checker.resume_from_file(&p, &inputs, &args.snapshot, SNAPSHOT_INTERVAL)

@@ -279,18 +279,19 @@ proptest! {
     }
 }
 
-/// Hash compaction composes with reduction and still reaches the right
-/// verdict on these tiny (collision-free in practice) instances — while
-/// remaining excluded from `proves_safety`.
+/// Reduction on a depth-bounded Algorithm 1 row reaches the exact run's
+/// verdict over the same min-depth ball: every orbit met within the depth
+/// bound is explored, so the reduced run never covers more states and its
+/// deepest schedule reaches the same horizon.
 #[test]
-fn compaction_plus_reduction_verdicts() {
+fn reduced_bounded_verdict_matches_exact() {
     let p = SwapKSet::consensus(3, 2);
     let exact = ModelChecker::new(10, 100_000).check(&p, &[1, 1, 1]);
-    let compact = ModelChecker::new(10, 100_000)
+    let reduced = ModelChecker::new(10, 100_000)
         .with_symmetry_reduction()
-        .unsound_hash_compaction()
         .check(&p, &[1, 1, 1]);
-    assert!(exact.same_verdict(&compact), "{exact} vs {compact}");
-    assert!(compact.hash_compaction);
-    assert!(!compact.proves_safety());
+    assert!(exact.same_verdict(&reduced), "{exact} vs {reduced}");
+    assert!(reduced.passed() && !reduced.complete, "{reduced}");
+    assert!(reduced.states < exact.states, "{exact} vs {reduced}");
+    assert_eq!(reduced.deepest, exact.deepest);
 }
