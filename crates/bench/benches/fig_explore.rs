@@ -546,6 +546,9 @@ fn synthesized_schedules(points: &mut Vec<(f64, f64)>) {
             states
         });
         let report = last.expect("best_of_3 ran the closure");
+        // Synthesis searches in min-depth order: it scores the whole
+        // depth-16 ball.
+        assert_eq!((report.states, report.best_score), (316, 20), "{report:?}");
         emit(
             format!(
                 "alg1 n=2 max-laps depth=16     : score {:>3} over {states:>6} states in {secs:>7.3}s ({:>9.0}/s) schedule {:?}",
@@ -563,6 +566,13 @@ fn synthesized_schedules(points: &mut Vec<(f64, f64)>) {
         let p = SwapKSet::consensus(3, 2);
         let bound = p.solo_step_bound();
         let report = searched_solo_pressure(&p, &[0, 1, 1], 8, 60_000, bound);
+        // The whole depth-8 ball.
+        assert!(report.complete);
+        assert_eq!(
+            (report.states, report.best_score),
+            (1_084, 15),
+            "{report:?}"
+        );
         assert!(
             report.best_score <= bound as u64,
             "Lemma 8 violated: {report:?}"
@@ -580,6 +590,9 @@ fn synthesized_schedules(points: &mut Vec<(f64, f64)>) {
         let p = BinaryRacing::with_track_len(3, 8);
         let report = searched_object_pressure(&p, &[0, 1, 0], 12, 150_000);
         assert!(report.config.decided_values().is_empty());
+        // The whole depth-12 ball.
+        assert!(report.complete);
+        assert_eq!((report.states, report.best_score), (1_020, 3), "{report:?}");
         emit(
             format!(
                 "binary_racing n=3 track-pressure depth=12 : score {:>3} over {:>6} states, schedule {:?}",

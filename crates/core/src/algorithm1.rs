@@ -478,7 +478,7 @@ mod tests {
         // total laps (local counters + shared entries) over configurations
         // where NOBODY has decided — the livelock region the hand-coded
         // lap-lead chaser lives in. The searched extremal schedule is not
-        // hand-coded: it falls out of an exhaustive best-first search.
+        // hand-coded: it falls out of an exhaustive min-depth search.
         let p = SwapKSet::consensus(2, 2);
         let inputs = [0u64, 1];
         let depth = 16;

@@ -403,6 +403,50 @@ mod tests {
         assert_eq!(replay, report.config, "witness replays to the extremum");
     }
 
+    /// Synthesis covers the whole depth-bounded ball, whatever the
+    /// objective: the report's state count equals an independent
+    /// breadth-first search over whole configurations in a `HashSet` (no
+    /// engine, no fingerprints), and its best score is the maximum of the
+    /// objective over that ball.
+    #[test]
+    fn searched_solo_pressure_covers_the_min_depth_ball() {
+        use std::collections::HashSet;
+        let p = SwapKSet::consensus(3, 2);
+        let inputs = [0u64, 1, 1];
+        let bound = p.solo_step_bound();
+        let root = Configuration::initial(&p, &inputs).unwrap();
+        let mut seen: HashSet<Configuration<SwapKSet>> = HashSet::from([root.clone()]);
+        let mut layer = vec![root];
+        for _ in 0..8 {
+            let mut next = Vec::new();
+            for config in &layer {
+                for pid in config.running() {
+                    let mut child = config.clone();
+                    child.step_quiet(&p, pid).unwrap();
+                    if seen.insert(child.clone()) {
+                        next.push(child);
+                    }
+                }
+            }
+            layer = next;
+        }
+        assert_eq!(seen.len(), 1_084, "the depth-8 ball itself");
+        let ball_max = seen
+            .iter()
+            .flat_map(|c| {
+                c.running()
+                    .into_iter()
+                    .map(|pid| runner::solo_run_cloned(&p, c, pid, bound).unwrap().0.steps as u64)
+            })
+            .max()
+            .unwrap();
+        let report = lemma9_pressure(&p, &inputs, bound);
+        assert!(report.complete);
+        assert_eq!(report.states, seen.len(), "synthesis must cover the ball");
+        assert_eq!(report.best_score, ball_max, "the true depth-8 maximum");
+        assert_eq!(report.best_score, 15);
+    }
+
     /// The pressure search at the budgets the unit tests and the bench
     /// smoke share.
     fn lemma9_pressure(

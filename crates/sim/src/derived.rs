@@ -51,10 +51,9 @@ use swapcons_objects::{
 use crate::canon::DedupSet;
 use crate::canon::{Renaming, Symmetry};
 use crate::config::Configuration;
-use crate::engine::{AllRunning, Budget, Control, Engine, Fifo, NodeCtx, Visitor};
+use crate::engine::{AllRunning, Budget, Control, Engine, NodeCtx, Visitor};
 use crate::ids::{Action, ObjectId, ProcessId};
 use crate::protocol::{Protocol, Transition};
-use crate::search::ScheduleArena;
 use crate::task::KSetTask;
 
 /// A protocol over derived objects, flattened onto the base-object set.
@@ -508,20 +507,20 @@ impl<P: Protocol> Visitor<P> for TerminalProfiles {
 pub fn swap_outcome_profiles<P: Protocol>(protocol: &P, max_states: usize) -> BTreeSet<Vec<u64>> {
     let inputs = vec![0u64; protocol.num_processes()];
     let root = Configuration::initial(protocol, &inputs).expect("valid inputs");
-    let mut dedup = DedupSet::exact(max_states.min(1 << 12));
-    let mut arena = ScheduleArena::new();
     let mut visitor = TerminalProfiles {
         profiles: BTreeSet::new(),
     };
-    let stats = Engine::new(Budget::new(usize::MAX, max_states)).run(
-        protocol,
-        root,
-        &mut dedup,
-        &mut arena,
-        &mut AllRunning,
-        &mut Fifo::new(),
-        &mut visitor,
-    );
+    let (stats, _) = Engine::new(Budget::new(usize::MAX, max_states))
+        .run_min_depth(
+            protocol,
+            root,
+            DedupSet::exact(max_states.min(1 << 12)),
+            || AllRunning,
+            std::slice::from_mut(&mut visitor),
+            None,
+            None,
+        )
+        .expect("fresh runs cannot fail to resume");
     assert!(
         stats.complete(),
         "profile collection must be exhaustive (visited {} states)",

@@ -1,12 +1,11 @@
-//! The strategy-driven search core shared by every exhaustive exploration
-//! in the workspace.
+//! The search core shared by every exhaustive exploration in the workspace.
 //!
-//! [`ModelChecker`](crate::explore::ModelChecker) and the lower-bound
-//! valency oracle used to be near-duplicate hand-rolled loops; every
-//! hot-path lever (copy-on-write scratch children, delta-restore, the
-//! schedule arena, symmetry-reduced dedup, budget accounting) had to land
-//! twice and their cutoff disciplines drifted. This module owns that loop
-//! once. [`Engine::run`] walks the configuration graph of a protocol,
+//! [`ModelChecker`](crate::explore::ModelChecker), the lower-bound valency
+//! oracle and [`AdversarySynthesis`] all search through this module, so
+//! every hot-path lever (copy-on-write scratch children, delta-restore, the
+//! schedule arena, symmetry-reduced dedup, budget accounting) and every
+//! cutoff discipline exists once. [`Engine::run_min_depth`]
+//! walks the configuration graph of a protocol breadth-first,
 //! deduplicating at **discovery time** through a [`DedupSet`] (exact or
 //! symmetry-reduced), recording one [`ScheduleArena`] node per kept edge,
 //! generating candidate children on a recycled scratch configuration with
@@ -15,35 +14,32 @@
 //! enforcing exact depth/state/frontier budgets with a uniform
 //! completeness verdict ([`SearchStats::complete`]).
 //!
-//! The engine is parameterized by three strategies:
+//! The engine is parameterized by two strategies:
 //!
 //! * an **expansion policy** ([`Expansion`]) — which processes may step
-//!   from a node: [`AllRunning`] for the model checker, [`GroupRestricted`]
-//!   for the valency oracle, [`PrunedExpansion`] for scheduler-guided
-//!   adversary searches;
-//! * a **frontier order** ([`Frontier`]) — [`Fifo`] is breadth-first and
-//!   discovers every configuration at its minimum depth, the one order of
-//!   the exhaustive clients; [`BestFirst`] is a priority queue keyed by a
-//!   pluggable score, which is what makes the Lemma 9 cover-and-block and
-//!   lap-maximizing adversary searches expressible as searches instead of
-//!   hand-coded schedules;
+//!   from a node: [`AllRunning`] for the model checker and the synthesizer,
+//!   [`GroupRestricted`] for the valency oracle, optionally wrapped in
+//!   [`CrashBounded`];
 //! * a **visitor** ([`Visitor`]) — per-state and per-edge verdicts: safety
 //!   plus solo termination for the checker, decided-value collection with
-//!   early bivalence exit for the oracle. ([`AdversarySynthesis`] tracks
-//!   its objective in the *frontier* instead, where the score is already
-//!   being computed for the priority order.) The same visitor runs on the
-//!   sharded driver ([`crate::shard`]), which hands it the same
-//!   [`NodeCtx`]/[`EdgeCtx`] views.
+//!   early bivalence exit for the oracle, the running maximum of an
+//!   objective for [`AdversarySynthesis`].
 //!
-//! # One bounded-search semantics
+//! # One search order
 //!
-//! [`Engine::run_min_depth`] is how the exhaustive clients search: one
-//! worker runs [`Engine::run`] inline with a [`Fifo`] frontier, more run
-//! the sharded waves of [`crate::shard::run_sharded`]. Both discover every
-//! configuration at its minimum depth, so a depth-bounded search covers
-//! exactly the configurations within `max_depth` steps of the root —
-//! whatever the thread count — and a depth-bounded pass means "no
-//! violation within `max_depth` steps".
+//! Every run discovers every configuration at its **minimum depth**. One
+//! visitor runs inline on a FIFO queue (no thread, no stripes); more run
+//! the sharded waves of [`crate::shard`]. A depth-bounded search therefore
+//! covers exactly the configurations within `max_depth` steps of the root,
+//! whatever the thread count or the client: a depth-bounded pass means "no
+//! violation within `max_depth` steps", and a depth-bounded synthesis
+//! maximum is the maximum over that whole ball.
+//!
+//! Both drivers expand a node through the same body (`Expander::expand`):
+//! the visitor hooks, terminal and depth accounting, the panic-isolated
+//! step, the budget check, dedup, and keeping or undoing the child are
+//! written once. A driver only schedules: the inline one pops its queue,
+//! the sharded one claims from the work pool and meets at wave barriers.
 //!
 //! # Budget discipline
 //!
@@ -52,17 +48,16 @@
 //! frontier never holds duplicates, and a child generated while a budget is
 //! exhausted marks the search incomplete only if it is genuinely new — a
 //! search whose post-budget children are all duplicates drained exactly at
-//! the bound and is still exhaustive. (This is the discipline the model
-//! checker always had; the valency oracle used to account at pop time and
-//! could call an exactly-budget-sized space truncated.)
+//! the bound and is still exhaustive.
 //!
 //! # Writing a new search
 //!
-//! Pick (or write) one strategy of each kind and hand them to
-//! [`Engine::run`]; the strategies keep whatever result the search is
-//! after. [`synthesize`] is the worked example: a best-first frontier that
-//! scores and records the extremum at discovery time turns the engine into
-//! an adversary synthesizer returning the schedule maximizing a
+//! Write a [`Visitor`] that keeps whatever result the search is after, pick
+//! an [`Expansion`], and hand both to [`Engine::run_min_depth`] (one
+//! visitor per worker). [`AdversarySynthesis::maximize`] is the worked
+//! example: a visitor that scores each configuration once, in
+//! [`Visitor::enter`], and keeps the first-visited maximum turns the engine
+//! into an adversary synthesizer returning the schedule maximizing a
 //! caller-defined objective as a replayable witness.
 //!
 //! # Crash transitions
@@ -82,12 +77,12 @@
 //! panic isolation around protocol `step` calls (a panicking transition is
 //! reported to [`Visitor::step_error`] as [`SimError::Panicked`] and the
 //! poisoned scratch child is discarded — the engine never aborts), and
-//! checkpoint/resume ([`Checkpointing`], [`SearchImage`],
-//! [`Engine::resume`]) with a parity guarantee: a resumed search visits
-//! exactly the states, in exactly the order, the uninterrupted search would
-//! have.
+//! checkpoint/resume ([`Checkpointing`], [`SearchImage`], the `resume`
+//! argument of [`Engine::run_min_depth`]) with a parity guarantee: a
+//! resumed search visits exactly the states, in exactly the order, the
+//! uninterrupted search would have.
 
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -97,7 +92,7 @@ use crate::config::{Configuration, SimError, StepUndo};
 use crate::ids::{Action, ProcessId};
 use crate::protocol::Protocol;
 use crate::search::{NodeId, ScheduleArena};
-use crate::shard::{run_sharded, GNode, ShardOptions, ShardedArenas, StripedDedup};
+use crate::shard::{run_sharded, GNode, ShardedArenas, StripedDedup, StripedInsert};
 
 /// Exact search budgets, enforced at discovery time.
 #[derive(Clone, Copy, Debug)]
@@ -181,7 +176,7 @@ impl SearchStats {
 pub enum Control {
     /// Keep searching.
     Continue,
-    /// Abort the search now; [`Engine::run`] returns with
+    /// Abort the search now; [`Engine::run_min_depth`] returns with
     /// [`SearchStats::stopped`] set (the checker found a violation, the
     /// oracle established bivalence).
     Stop,
@@ -222,20 +217,6 @@ impl<P: Protocol> Expansion<P> for GroupRestricted<'_> {
                 .filter(|&p| config.decision(p).is_none() && !config.is_crashed(p))
                 .map(Action::Step),
         );
-    }
-}
-
-/// Expansion driven by an arbitrary closure over the configuration —
-/// scheduler-pruned adversary searches restrict or reorder the running set
-/// (e.g. "only processes poised on a covered object").
-pub struct PrunedExpansion<F>(pub F);
-
-impl<P: Protocol, F> Expansion<P> for PrunedExpansion<F>
-where
-    F: FnMut(&P, &Configuration<P>, &mut Vec<Action>),
-{
-    fn candidates(&mut self, protocol: &P, config: &Configuration<P>, out: &mut Vec<Action>) {
-        (self.0)(protocol, config, out);
     }
 }
 
@@ -285,160 +266,8 @@ impl<P: Protocol, E: Expansion<P>> Expansion<P> for CrashBounded<E> {
     }
 }
 
-impl<F> std::fmt::Debug for PrunedExpansion<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrunedExpansion").finish_non_exhaustive()
-    }
-}
-
-/// Order in which discovered configurations are visited.
-pub trait Frontier<P: Protocol> {
-    /// Enqueue a freshly discovered configuration.
-    fn push(&mut self, protocol: &P, config: Configuration<P>, node: NodeId, depth: usize);
-    /// Dequeue the next configuration to visit.
-    fn pop(&mut self) -> Option<(Configuration<P>, NodeId)>;
-    /// Number of pending configurations.
-    fn len(&self) -> usize;
-    /// Whether nothing is pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// The pending node ids in *push order* (the order re-pushing them
-    /// reproduces this frontier), for checkpointing. Frontiers that cannot
-    /// reproduce their order (or choose not to support snapshots) return
-    /// `None`; [`Fifo`] — the exhaustive clients' order — supports it.
-    fn pending_nodes(&self) -> Option<Vec<NodeId>> {
-        None
-    }
-}
-
-/// Plain FIFO queue: breadth-first search in push order, the frontier of
-/// every exhaustive client ([`Engine::run_min_depth`]).
-///
-/// Children are pushed at their parent's depth plus one and popped in push
-/// order, so depths leave the queue in non-decreasing order and every
-/// configuration is discovered at its **minimum** depth. A depth-bounded
-/// search therefore covers exactly the configurations within `max_depth`
-/// steps of the root, the same set the sharded waves cover at any thread
-/// count. The sharded checkpoint image orders its frontier
-/// shallowest-first, so resuming it FIFO keeps that invariant too.
-#[derive(Debug)]
-pub struct Fifo<P: Protocol>(std::collections::VecDeque<(Configuration<P>, NodeId)>);
-
-impl<P: Protocol> Fifo<P> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Fifo(std::collections::VecDeque::new())
-    }
-}
-
-impl<P: Protocol> Default for Fifo<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: Protocol> Frontier<P> for Fifo<P> {
-    fn push(&mut self, _protocol: &P, config: Configuration<P>, node: NodeId, _depth: usize) {
-        self.0.push_back((config, node));
-    }
-
-    fn pop(&mut self) -> Option<(Configuration<P>, NodeId)> {
-        self.0.pop_front()
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn pending_nodes(&self) -> Option<Vec<NodeId>> {
-        Some(self.0.iter().map(|(_, node)| *node).collect())
-    }
-}
-
-/// One pending entry of a [`BestFirst`] frontier: ordered by score, ties
-/// broken toward the most recently discovered entry (DFS-like bias), so
-/// traversal order is deterministic.
-struct Scored<P: Protocol> {
-    score: u64,
-    seq: u64,
-    config: Configuration<P>,
-    node: NodeId,
-}
-
-impl<P: Protocol> PartialEq for Scored<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.score == other.score && self.seq == other.seq
-    }
-}
-
-impl<P: Protocol> Eq for Scored<P> {}
-
-impl<P: Protocol> PartialOrd for Scored<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<P: Protocol> Ord for Scored<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.score, self.seq).cmp(&(other.score, other.seq))
-    }
-}
-
-/// Priority frontier: always visit the highest-scoring pending
-/// configuration next. The score is a pluggable function of the
-/// configuration (and its depth) — lap totals for lap-maximizing adversary
-/// synthesis, covered-object counts for cover-and-block searches.
-pub struct BestFirst<P: Protocol, F> {
-    heap: BinaryHeap<Scored<P>>,
-    score: F,
-    seq: u64,
-}
-
-impl<P: Protocol, F: FnMut(&P, &Configuration<P>, usize) -> u64> BestFirst<P, F> {
-    /// An empty priority frontier scoring entries with `score(protocol,
-    /// config, depth)`.
-    pub fn new(score: F) -> Self {
-        BestFirst {
-            heap: BinaryHeap::new(),
-            score,
-            seq: 0,
-        }
-    }
-}
-
-impl<P: Protocol, F: FnMut(&P, &Configuration<P>, usize) -> u64> Frontier<P> for BestFirst<P, F> {
-    fn push(&mut self, protocol: &P, config: Configuration<P>, node: NodeId, depth: usize) {
-        let score = (self.score)(protocol, &config, depth);
-        self.seq += 1;
-        self.heap.push(Scored {
-            score,
-            seq: self.seq,
-            config,
-            node,
-        });
-    }
-
-    fn pop(&mut self) -> Option<(Configuration<P>, NodeId)> {
-        self.heap.pop().map(|s| (s.config, s.node))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-impl<P: Protocol, F> std::fmt::Debug for BestFirst<P, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BestFirst")
-            .field("pending", &self.heap.len())
-            .finish_non_exhaustive()
-    }
-}
-
 /// A position in the schedule tree of a running search: a node of the
-/// sequential engine's arena, or of the sharded driver's per-worker arenas.
+/// inline driver's arena, or of the sharded driver's per-worker arenas.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum TreePos<'a> {
     Arena(&'a ScheduleArena, NodeId),
@@ -517,9 +346,10 @@ impl EdgeCtx<'_> {
 }
 
 /// Per-state and per-edge verdicts of a search — the one visitor trait of
-/// both drivers. [`Engine::run`] calls it from the calling thread; the
+/// both drivers. The inline driver calls it from the calling thread; the
 /// sharded driver gives each worker its own visitor (hence the `Send`
-/// bound there) and the caller merges them after the join.
+/// bound on [`Engine::run_min_depth`]) and the caller merges them after
+/// the run.
 ///
 /// Hook order per dequeued node: `enter` (with the node's expansion
 /// candidates already computed), then — unless the node is terminal or
@@ -567,9 +397,9 @@ pub trait Visitor<P: Protocol> {
 /// are generic and are rebuilt by replaying each node's action schedule
 /// from the root).
 ///
-/// Produced by [`Checkpointing`] sinks; consumed by [`Engine::resume`].
-/// The byte-level encoding and the checksummed snapshot-file format live in
-/// [`crate::snapshot`].
+/// Produced by [`Checkpointing`] sinks; consumed by the `resume` argument
+/// of [`Engine::run_min_depth`]. The byte-level encoding and the
+/// checksummed snapshot-file format live in [`crate::snapshot`].
 #[derive(Clone, Debug)]
 pub struct SearchImage {
     /// Counters as of the snapshot; resuming continues from them.
@@ -581,15 +411,15 @@ pub struct SearchImage {
     /// symmetry reduction — reproduces the same orbit representatives and
     /// therefore the same future dedup verdicts as the uninterrupted run.
     pub discovery: Vec<NodeId>,
-    /// The pending frontier in push order ([`Frontier::pending_nodes`]).
+    /// The pending frontier in queue order, shallowest first.
     pub frontier: Vec<NodeId>,
 }
 
-/// Periodic snapshot hook for [`Engine::run_with`]: after every `interval`
-/// visited states (and once more on deadline expiry) the engine hands a
-/// fresh [`SearchImage`] to `sink`. The sink returning [`Control::Stop`]
-/// *pauses* the search — [`SearchStats::paused`] is set and the run
-/// returns; resume later with [`Engine::resume`].
+/// Periodic snapshot hook for [`Engine::run_min_depth`]: after every
+/// `interval` visited states (and once more on deadline expiry) the engine
+/// hands a fresh [`SearchImage`] to `sink`. The sink returning
+/// [`Control::Stop`] *pauses* the search — [`SearchStats::paused`] is set
+/// and the run returns; resume later by passing the image back.
 pub struct Checkpointing<'s> {
     /// Snapshot every this many visited states (`0` is treated as `1`).
     pub interval: usize,
@@ -635,9 +465,8 @@ impl ResumeError {
 }
 
 /// The search core. Owns only the budgets and the optional wall-clock
-/// deadline; dedup set, arena, and strategies are caller state so clients
-/// can keep using them after the run (materializing witness schedules,
-/// reading orbit counts).
+/// deadline; the dedup set, the expansion policy and the visitors are
+/// handed to each run.
 #[derive(Clone, Copy, Debug)]
 pub struct Engine {
     /// The run's budgets.
@@ -665,113 +494,333 @@ impl Engine {
         self
     }
 
-    /// Search the configuration graph from `root`.
+    /// Search the configuration graph from `root` in min-depth order, with
+    /// one worker per visitor — the engine's one run method.
     ///
-    /// The root is inserted into `dedup` (if not already present) and
-    /// visited first; every further configuration is discovered through the
-    /// expansion policy, deduplicated at discovery time, and visited in the
-    /// frontier's order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run<P, E, F, V>(
-        &self,
-        protocol: &P,
-        root: Configuration<P>,
-        dedup: &mut DedupSet<P>,
-        arena: &mut ScheduleArena,
-        expansion: &mut E,
-        frontier: &mut F,
-        visitor: &mut V,
-    ) -> SearchStats
-    where
-        P: Protocol,
-        E: Expansion<P>,
-        F: Frontier<P>,
-        V: Visitor<P>,
-    {
-        self.run_with(
-            protocol, root, dedup, arena, expansion, frontier, visitor, None,
-        )
-    }
-
-    /// [`Engine::run`] with optional periodic checkpointing. Requires a
-    /// frontier supporting [`Frontier::pending_nodes`] when `ckpt` is
-    /// `Some` (the snapshot must capture the pending work).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with<P, E, F, V>(
-        &self,
-        protocol: &P,
-        root: Configuration<P>,
-        dedup: &mut DedupSet<P>,
-        arena: &mut ScheduleArena,
-        expansion: &mut E,
-        frontier: &mut F,
-        visitor: &mut V,
-        ckpt: Option<Checkpointing<'_>>,
-    ) -> SearchStats
-    where
-        P: Protocol,
-        E: Expansion<P>,
-        F: Frontier<P>,
-        V: Visitor<P>,
-    {
-        dedup.insert(protocol, &root);
-        frontier.push(protocol, root, ScheduleArena::ROOT, 0);
-        self.run_impl(
-            protocol,
-            dedup,
-            arena,
-            expansion,
-            frontier,
-            visitor,
-            SearchStats::fresh(),
-            vec![ScheduleArena::ROOT],
-            ckpt,
-        )
-    }
-
-    /// Resume a search from a [`SearchImage`] with full parity: the resumed
-    /// run visits exactly the states, in exactly the order, the
-    /// uninterrupted run would have, and ends with identical stats
-    /// (up to the cleared `deadline_truncated`/`paused` interruption flags).
+    /// The root is inserted into `dedup` and visited first; every further
+    /// configuration is discovered through the expansion policy,
+    /// deduplicated at discovery time, and visited at its minimum depth. A
+    /// single visitor runs inline on a FIFO queue: no thread, no stripes.
+    /// More visitors run the sharded waves of [`crate::shard`] over a
+    /// [`StripedDedup`] built from `dedup`. Both drivers expand nodes
+    /// through the same body, so their reports agree at every thread count
+    /// (`peak_frontier`, a high-water mark, excepted).
     ///
-    /// `root` must be the same initial configuration, and `dedup`, `arena`,
-    /// `frontier` must be freshly constructed with the same parameters
-    /// (same reduction mode, same order) as the interrupted run; the
-    /// visitor and expansion must be re-created by the caller likewise.
+    /// `resume` restarts a paused or interrupted search from its
+    /// [`SearchImage`] with full parity: the resumed run visits exactly the
+    /// states, in exactly the order, the uninterrupted run would have, and
+    /// ends with identical stats (up to the cleared
+    /// `deadline_truncated`/`paused` flags). `root`, `dedup`, the expansion
+    /// and the visitor must be built as for the interrupted run.
     /// Discovered configurations are rebuilt by replaying each node's
     /// action schedule from the root and re-inserted in the original
     /// discovery order, which under symmetry reduction reproduces the same
-    /// orbit representatives — this is what makes the parity guarantee
-    /// hold rather than merely approximate.
+    /// orbit representatives.
+    ///
+    /// `dedup` must be empty. Returns the run's stats and the number of
+    /// distinct configurations (orbits) discovered.
     ///
     /// # Errors
     ///
-    /// [`ResumeError`] if the image is internally inconsistent: dangling
-    /// node ids, schedules that fail to replay, discovery entries that
-    /// deduplicate against each other, or a non-empty `dedup`/`frontier`.
+    /// [`ResumeError`] if `resume` holds an image that cannot seed the
+    /// search: dangling node ids, schedules that fail to replay, discovery
+    /// entries that deduplicate against each other, or a non-empty `dedup`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `visitors` is empty or longer than
+    /// [`MAX_THREADS`](crate::shard::MAX_THREADS), or if `resume` is given
+    /// with more than one visitor: the sharded driver does not resume, a
+    /// resumed leg runs inline.
     #[allow(clippy::too_many_arguments)]
-    pub fn resume<P, E, F, V>(
+    pub fn run_min_depth<P, E, V>(
         &self,
         protocol: &P,
         root: Configuration<P>,
-        image: &SearchImage,
-        dedup: &mut DedupSet<P>,
-        arena: &mut ScheduleArena,
-        expansion: &mut E,
-        frontier: &mut F,
-        visitor: &mut V,
+        dedup: DedupSet<P>,
+        make_expansion: impl Fn() -> E,
+        visitors: &mut [V],
+        resume: Option<&SearchImage>,
         ckpt: Option<Checkpointing<'_>>,
-    ) -> Result<SearchStats, ResumeError>
+    ) -> Result<(SearchStats, usize), ResumeError>
+    where
+        P: Protocol,
+        E: Expansion<P> + Send,
+        V: Visitor<P> + Send,
+    {
+        if let [visitor] = visitors {
+            return self.run_inline(
+                protocol,
+                root,
+                dedup,
+                make_expansion(),
+                visitor,
+                resume,
+                ckpt,
+            );
+        }
+        assert!(
+            resume.is_none(),
+            "a resumed search runs inline on one visitor"
+        );
+        // More stripes than workers keeps lock contention low without
+        // affecting results (stripe assignment is a pure function of the
+        // fingerprint, so the partition is deterministic).
+        let stripes = (visitors.len() * 8).min(64);
+        let striped = StripedDedup::new(dedup, stripes, self.budget.max_states);
+        let stats = run_sharded(
+            self,
+            protocol,
+            root,
+            &striped,
+            make_expansion,
+            visitors,
+            ckpt,
+        );
+        Ok((stats, striped.len()))
+    }
+
+    /// The inline driver: pop the FIFO queue, expand each node through the
+    /// shared body, honour the deadline and the checkpoint cadence.
+    #[allow(clippy::too_many_arguments)]
+    fn run_inline<P, E, V>(
+        &self,
+        protocol: &P,
+        root: Configuration<P>,
+        dedup: DedupSet<P>,
+        expansion: E,
+        visitor: &mut V,
+        resume: Option<&SearchImage>,
+        mut ckpt: Option<Checkpointing<'_>>,
+    ) -> Result<(SearchStats, usize), ResumeError>
     where
         P: Protocol,
         E: Expansion<P>,
-        F: Frontier<P>,
         V: Visitor<P>,
     {
-        if !dedup.is_empty() || !frontier.is_empty() {
-            return Err(ResumeError::new(
-                "resume requires a fresh dedup set and frontier",
-            ));
+        let mut inline = Inline {
+            dedup,
+            arena: ScheduleArena::new(),
+            queue: VecDeque::new(),
+            discovery: vec![ScheduleArena::ROOT],
+            record_discovery: ckpt.is_some(),
+            stats: SearchStats::fresh(),
+            budget: self.budget,
+        };
+        match resume {
+            None => {
+                inline.dedup.insert(protocol, &root);
+                inline.queue.push_back((root, ScheduleArena::ROOT));
+            }
+            Some(image) => inline.restore(protocol, &root, image)?,
+        }
+        let started = Instant::now();
+        let mut expander = Expander::new(expansion, self.budget.max_depth);
+        loop {
+            if self.deadline.is_some_and(|d| started.elapsed() >= d) && !inline.queue.is_empty() {
+                inline.stats.deadline_truncated = true;
+                if let Some(ckpt) = ckpt.as_mut() {
+                    // Final snapshot so the interrupted run is resumable;
+                    // its verdict no longer matters — the run is ending.
+                    let _ = (ckpt.sink)(&inline.image());
+                }
+                break;
+            }
+            let Some((config, node)) = inline.queue.pop_front() else {
+                break;
+            };
+            let depth = inline.arena.depth(node);
+            if expander.expand(protocol, visitor, &mut inline, &config, node, depth)
+                == Control::Stop
+            {
+                inline.stats.stopped = true;
+                break;
+            }
+            if let Some(ckpt) = ckpt.as_mut() {
+                if inline.stats.states.is_multiple_of(ckpt.interval.max(1))
+                    && (ckpt.sink)(&inline.image()) == Control::Stop
+                {
+                    inline.stats.paused = true;
+                    break;
+                }
+            }
+        }
+        Ok((inline.stats, inline.dedup.len()))
+    }
+}
+
+/// The driver side of the shared node body ([`Expander::expand`]): where
+/// its counters, dedup verdicts and kept children go. The inline driver
+/// implements it over its queue and arena, the sharded driver over the
+/// shared atomics, stripes and next-wave buffers.
+pub(crate) trait Seam<P: Protocol> {
+    /// A node of the driver's schedule tree.
+    type Node: Copy;
+    /// The tree position of `node`, for the visitor's context views.
+    fn pos(&self, node: Self::Node) -> TreePos<'_>;
+    /// Count the visit of a node at `depth`.
+    fn visited(&mut self, depth: usize);
+    /// Count a terminal node.
+    fn terminal(&mut self);
+    /// A node with candidates sat at the depth horizon.
+    fn depth_truncated(&mut self);
+    /// Work was skipped: a new child over budget, or a skipped step error.
+    fn budget_truncated(&mut self);
+    /// Classify `child` against the dedup set and the state and frontier
+    /// budgets, inserting it when it is new and within budget.
+    fn insert(&mut self, protocol: &P, child: &Configuration<P>) -> StripedInsert;
+    /// Keep a new child, reached from `parent` by `action`, at `depth`.
+    fn keep(&mut self, parent: Self::Node, action: Action, depth: usize, child: Configuration<P>);
+}
+
+/// One worker's node-expansion state: its expansion policy, the candidate
+/// buffer, and the scratch configuration recycled between children.
+pub(crate) struct Expander<P: Protocol, E> {
+    expansion: E,
+    max_depth: usize,
+    candidates: Vec<Action>,
+    scratch: Option<Configuration<P>>,
+}
+
+impl<P: Protocol, E: Expansion<P>> Expander<P, E> {
+    pub(crate) fn new(expansion: E, max_depth: usize) -> Self {
+        Expander {
+            expansion,
+            max_depth,
+            candidates: Vec::new(),
+            scratch: None,
+        }
+    }
+
+    /// Expand one node — the per-node body of both drivers: the visitor
+    /// hooks, terminal and depth accounting, the panic-isolated step, the
+    /// budget check before the edge hook, dedup, and keeping or undoing the
+    /// child. Returns [`Control::Stop`] when a hook aborts the search.
+    ///
+    /// A child is generated by stepping the scratch in place and — when it
+    /// is dropped (duplicate or over budget) — *delta-restored*: the undo
+    /// token rolls back exactly the two mutated slots, so dropped children
+    /// cost O(1) element writes instead of a state re-copy.
+    #[inline]
+    pub(crate) fn expand<V: Visitor<P>, S: Seam<P>>(
+        &mut self,
+        protocol: &P,
+        visitor: &mut V,
+        seam: &mut S,
+        config: &Configuration<P>,
+        node: S::Node,
+        depth: usize,
+    ) -> Control {
+        seam.visited(depth);
+        self.candidates.clear();
+        self.expansion
+            .candidates(protocol, config, &mut self.candidates);
+        let ctx = NodeCtx {
+            at: seam.pos(node),
+            depth,
+        };
+        if visitor.enter(protocol, config, &ctx, &self.candidates) == Control::Stop {
+            return Control::Stop;
+        }
+        if self.candidates.is_empty() {
+            seam.terminal();
+            return Control::Continue;
+        }
+        if depth >= self.max_depth {
+            seam.depth_truncated();
+            return Control::Continue;
+        }
+        // `true` while the scratch holds exactly `config`'s state (so the
+        // next candidate can step it directly); cleared when a kept child
+        // leaves the scratch sharing storage with the frontier.
+        let mut scratch_synced = false;
+        for &action in &self.candidates {
+            let child = match &mut self.scratch {
+                Some(child) => {
+                    if !scratch_synced {
+                        child.clone_state_from(config);
+                    }
+                    child
+                }
+                None => self.scratch.insert(config.clone()),
+            };
+            scratch_synced = true;
+            match take_action(protocol, child, action) {
+                Ok((decided, undo)) => {
+                    // A child probed while a budget binds gets no edge
+                    // hook, and only a genuinely new one is skipped work.
+                    let is_new = match seam.insert(protocol, child) {
+                        StripedInsert::New => true,
+                        StripedInsert::Duplicate => false,
+                        dropped => {
+                            if dropped == StripedInsert::BudgetNew {
+                                seam.budget_truncated();
+                            }
+                            child.undo_step(undo);
+                            continue;
+                        }
+                    };
+                    let edge = EdgeCtx {
+                        parent: seam.pos(node),
+                        action,
+                    };
+                    if visitor.edge(protocol, child, decided, is_new, &edge) == Control::Stop {
+                        return Control::Stop;
+                    }
+                    if is_new {
+                        seam.keep(node, action, depth + 1, child.clone());
+                        scratch_synced = false;
+                    } else {
+                        child.undo_step(undo);
+                    }
+                }
+                Err(error) => {
+                    if matches!(error, SimError::Panicked { .. }) {
+                        // The panicking step may have half-mutated the
+                        // scratch: poisoned, drop it. (A schema rejection
+                        // or crash error mutates nothing.)
+                        self.scratch = None;
+                        scratch_synced = false;
+                    }
+                    let edge = EdgeCtx {
+                        parent: seam.pos(node),
+                        action,
+                    };
+                    match visitor.step_error(protocol, error, &edge) {
+                        Control::Stop => return Control::Stop,
+                        Control::Continue => seam.budget_truncated(),
+                    }
+                }
+            }
+        }
+        Control::Continue
+    }
+}
+
+/// The inline driver's state: a FIFO queue over one arena and one dedup
+/// set. Children are queued at their parent's depth plus one and popped in
+/// queue order, so every configuration is discovered at its minimum depth.
+struct Inline<P: Protocol> {
+    dedup: DedupSet<P>,
+    arena: ScheduleArena,
+    queue: VecDeque<(Configuration<P>, NodeId)>,
+    /// Discovery order, root first; grown only when checkpointing.
+    discovery: Vec<NodeId>,
+    record_discovery: bool,
+    stats: SearchStats,
+    budget: Budget,
+}
+
+impl<P: Protocol> Inline<P> {
+    /// Seed the run from `image`, rebuilding each configuration by replay.
+    fn restore(
+        &mut self,
+        protocol: &P,
+        root: &Configuration<P>,
+        image: &SearchImage,
+    ) -> Result<(), ResumeError> {
+        if !self.dedup.is_empty() {
+            return Err(ResumeError::new("resume requires a fresh dedup set"));
         }
         if image.discovery.first() != Some(&ScheduleArena::ROOT) {
             return Err(ResumeError::new("discovery order must start at the root"));
@@ -802,12 +851,7 @@ impl Engine {
             Ok(config)
         };
         for &node in &image.discovery {
-            let config = if node == ScheduleArena::ROOT {
-                root.clone()
-            } else {
-                rebuild(node)?
-            };
-            if !dedup.insert(protocol, &config) {
+            if !self.dedup.insert(protocol, &rebuild(node)?) {
                 return Err(ResumeError::new(format!(
                     "discovery entry {} deduplicates against an earlier one",
                     node.to_raw()
@@ -815,316 +859,84 @@ impl Engine {
             }
         }
         for &node in &image.frontier {
-            let config = if node == ScheduleArena::ROOT {
-                root.clone()
-            } else {
-                rebuild(node)?
-            };
-            let depth = image.arena.depth(node);
-            frontier.push(protocol, config, node, depth);
+            self.queue.push_back((rebuild(node)?, node));
         }
-        *arena = image.arena.clone();
-        let mut stats = image.stats;
-        stats.deadline_truncated = false;
-        stats.paused = false;
-        Ok(self.run_impl(
-            protocol,
-            dedup,
-            arena,
-            expansion,
-            frontier,
-            visitor,
-            stats,
-            image.discovery.clone(),
-            ckpt,
-        ))
-    }
-
-    /// Run a min-depth search — the one search semantics of the exhaustive
-    /// clients — with one worker per visitor.
-    ///
-    /// A single visitor runs [`Engine::run_with`] (or [`Engine::resume`])
-    /// inline on a [`Fifo`] frontier: no thread, no stripes. More visitors
-    /// run the sharded waves of [`run_sharded`] over a [`StripedDedup`]
-    /// built from `dedup`. Both discover every configuration at its minimum
-    /// depth, so their reports agree at every thread count
-    /// (`peak_frontier`, a high-water mark, excepted).
-    ///
-    /// `dedup` must be empty; it is the striped set's template when
-    /// sharded. Returns the run's stats and the number of distinct
-    /// configurations (orbits) discovered.
-    ///
-    /// # Errors
-    ///
-    /// [`ResumeError`] if `resume` holds an image that cannot seed the
-    /// search (see [`Engine::resume`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `visitors` is empty or longer than
-    /// [`MAX_THREADS`](crate::shard::MAX_THREADS), or if `resume` is given
-    /// with more than one visitor: the sharded driver does not resume, a
-    /// resumed leg runs inline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_min_depth<P, E, V>(
-        &self,
-        protocol: &P,
-        root: Configuration<P>,
-        dedup: DedupSet<P>,
-        make_expansion: impl Fn() -> E,
-        visitors: &mut [V],
-        resume: Option<&SearchImage>,
-        ckpt: Option<Checkpointing<'_>>,
-    ) -> Result<(SearchStats, usize), ResumeError>
-    where
-        P: Protocol,
-        E: Expansion<P> + Send,
-        V: Visitor<P> + Send,
-    {
-        if let [visitor] = visitors {
-            let mut dedup = dedup;
-            let (mut arena, mut frontier) = (ScheduleArena::new(), Fifo::new());
-            let mut expansion = make_expansion();
-            let stats = match resume {
-                None => self.run_with(
-                    protocol,
-                    root,
-                    &mut dedup,
-                    &mut arena,
-                    &mut expansion,
-                    &mut frontier,
-                    visitor,
-                    ckpt,
-                ),
-                Some(image) => self.resume(
-                    protocol,
-                    root,
-                    image,
-                    &mut dedup,
-                    &mut arena,
-                    &mut expansion,
-                    &mut frontier,
-                    visitor,
-                    ckpt,
-                )?,
-            };
-            return Ok((stats, dedup.len()));
-        }
-        assert!(
-            resume.is_none(),
-            "a resumed search runs inline on one visitor"
-        );
-        let threads = visitors.len();
-        // More stripes than workers keeps lock contention low without
-        // affecting results (stripe assignment is a pure function of the
-        // fingerprint, so the partition is deterministic).
-        let striped = StripedDedup::new(dedup, (threads * 8).min(64), self.budget.max_states);
-        let opts = ShardOptions {
-            threads,
-            budget: self.budget,
-            deadline: self.deadline,
+        self.arena = image.arena.clone();
+        self.discovery = image.discovery.clone();
+        self.stats = SearchStats {
+            deadline_truncated: false,
+            paused: false,
+            ..image.stats
         };
-        let stats = run_sharded(
-            protocol,
-            root,
-            &striped,
-            &opts,
-            make_expansion,
-            visitors,
-            ckpt,
-        );
-        Ok((stats, striped.len()))
+        Ok(())
     }
 
-    /// The shared search loop: `run_with` seeds a fresh search, `resume`
-    /// seeds a restored one; both continue here.
-    #[allow(clippy::too_many_arguments)]
-    fn run_impl<P, E, F, V>(
-        &self,
-        protocol: &P,
-        dedup: &mut DedupSet<P>,
-        arena: &mut ScheduleArena,
-        expansion: &mut E,
-        frontier: &mut F,
-        visitor: &mut V,
-        mut stats: SearchStats,
-        mut discovery: Vec<NodeId>,
-        mut ckpt: Option<Checkpointing<'_>>,
-    ) -> SearchStats
-    where
-        P: Protocol,
-        E: Expansion<P>,
-        F: Frontier<P>,
-        V: Visitor<P>,
-    {
-        let started = Instant::now();
-        // Scratch buffers reused across nodes: the expansion candidates and
-        // one configuration recycled between candidate children. A child is
-        // generated by stepping the scratch in place and — when it is
-        // rejected (duplicate or over budget) — *delta-restored*: the undo
-        // token rolls back exactly the two mutated slots, so rejected
-        // children cost O(1) element writes instead of a state re-copy.
-        let mut candidates: Vec<Action> = Vec::new();
-        let mut child_scratch: Option<Configuration<P>> = None;
-        loop {
-            if let Some(deadline) = self.deadline {
-                if started.elapsed() >= deadline && !frontier.is_empty() {
-                    stats.deadline_truncated = true;
-                    if let Some(ckpt) = ckpt.as_mut() {
-                        // Final snapshot so the interrupted run is
-                        // resumable; its verdict (pause or not) no longer
-                        // matters — the run is ending either way.
-                        let _ = (ckpt.sink)(&image(&stats, arena, &discovery, frontier));
-                    }
-                    return stats;
-                }
-            }
-            let Some((config, node)) = frontier.pop() else {
-                break;
-            };
-            stats.states += 1;
-            let depth = arena.depth(node);
-            stats.deepest = stats.deepest.max(depth);
-            candidates.clear();
-            expansion.candidates(protocol, &config, &mut candidates);
-            let ctx = NodeCtx {
-                at: TreePos::Arena(arena, node),
-                depth,
-            };
-            if visitor.enter(protocol, &config, &ctx, &candidates) == Control::Stop {
-                stats.stopped = true;
-                return stats;
-            }
-            if candidates.is_empty() {
-                stats.terminal_states += 1;
-            } else if depth >= self.budget.max_depth {
-                stats.depth_truncated = true;
-            } else {
-                // `true` while the scratch holds exactly `config`'s state (so
-                // the next candidate can step it directly); cleared when a kept
-                // child leaves the scratch sharing storage with the frontier.
-                let mut scratch_synced = false;
-                for &action in &candidates {
-                    let child = match &mut child_scratch {
-                        Some(s) => s,
-                        None => child_scratch.insert(config.clone()),
-                    };
-                    if !scratch_synced {
-                        child.clone_state_from(&config);
-                    }
-                    scratch_synced = true;
-                    match take_action(protocol, child, action) {
-                        Ok((decided, undo)) => {
-                            if dedup.len() >= self.budget.max_states
-                                || frontier.len() >= self.budget.max_frontier
-                            {
-                                // A budget is exhausted: a child that is already
-                                // known costs nothing to discard, but an
-                                // *undiscovered* one is genuinely skipped work.
-                                if !dedup.contains(protocol, child) {
-                                    stats.budget_truncated = true;
-                                }
-                                child.undo_step(undo);
-                                continue;
-                            }
-                            let is_new = dedup.insert(protocol, child);
-                            let edge = EdgeCtx {
-                                parent: TreePos::Arena(arena, node),
-                                action,
-                            };
-                            if visitor.edge(protocol, child, decided, is_new, &edge)
-                                == Control::Stop
-                            {
-                                stats.stopped = true;
-                                return stats;
-                            }
-                            if is_new {
-                                let child_node = arena.child_action(node, action);
-                                if ckpt.is_some() {
-                                    discovery.push(child_node);
-                                }
-                                frontier.push(protocol, child.clone(), child_node, depth + 1);
-                                scratch_synced = false;
-                            } else {
-                                child.undo_step(undo);
-                            }
-                        }
-                        Err(e) => {
-                            if matches!(e, SimError::Panicked { .. }) {
-                                // The panicking step may have half-mutated the
-                                // scratch: poisoned, drop it. (A schema
-                                // rejection or crash error mutates nothing and
-                                // keeps the scratch synced.)
-                                child_scratch = None;
-                                scratch_synced = false;
-                            }
-                            let edge = EdgeCtx {
-                                parent: TreePos::Arena(arena, node),
-                                action,
-                            };
-                            match visitor.step_error(protocol, e, &edge) {
-                                Control::Stop => {
-                                    stats.stopped = true;
-                                    return stats;
-                                }
-                                Control::Continue => stats.budget_truncated = true,
-                            }
-                        }
-                    }
-                }
-                stats.peak_frontier = stats.peak_frontier.max(frontier.len());
-            }
-            self.maybe_checkpoint(&mut stats, arena, &discovery, frontier, &mut ckpt);
-            if stats.paused {
-                return stats;
-            }
-        }
-        stats
-    }
-
-    /// Snapshot after every `interval` visited states; sets
-    /// [`SearchStats::paused`] when the sink asks to stop.
-    fn maybe_checkpoint<P: Protocol, F: Frontier<P>>(
-        &self,
-        stats: &mut SearchStats,
-        arena: &ScheduleArena,
-        discovery: &[NodeId],
-        frontier: &F,
-        ckpt: &mut Option<Checkpointing<'_>>,
-    ) {
-        let Some(ckpt) = ckpt.as_mut() else {
-            return;
-        };
-        if !stats.states.is_multiple_of(ckpt.interval.max(1)) {
-            return;
-        }
-        if (ckpt.sink)(&image(stats, arena, discovery, frontier)) == Control::Stop {
-            stats.paused = true;
+    /// The [`SearchImage`] of the run at this point.
+    fn image(&self) -> SearchImage {
+        SearchImage {
+            stats: self.stats,
+            arena: self.arena.clone(),
+            discovery: self.discovery.clone(),
+            frontier: self.queue.iter().map(|&(_, node)| node).collect(),
         }
     }
 }
 
-/// The [`SearchImage`] of a sequential run at this point.
-fn image<P: Protocol, F: Frontier<P>>(
-    stats: &SearchStats,
-    arena: &ScheduleArena,
-    discovery: &[NodeId],
-    frontier: &F,
-) -> SearchImage {
-    SearchImage {
-        stats: *stats,
-        arena: arena.clone(),
-        discovery: discovery.to_vec(),
-        frontier: frontier
-            .pending_nodes()
-            .expect("checkpointing requires a frontier with pending_nodes support"),
+impl<P: Protocol> Seam<P> for Inline<P> {
+    type Node = NodeId;
+
+    fn pos(&self, node: NodeId) -> TreePos<'_> {
+        TreePos::Arena(&self.arena, node)
+    }
+
+    fn visited(&mut self, depth: usize) {
+        self.stats.states += 1;
+        self.stats.deepest = self.stats.deepest.max(depth);
+    }
+
+    fn terminal(&mut self) {
+        self.stats.terminal_states += 1;
+    }
+
+    fn depth_truncated(&mut self) {
+        self.stats.depth_truncated = true;
+    }
+
+    fn budget_truncated(&mut self) {
+        self.stats.budget_truncated = true;
+    }
+
+    fn insert(&mut self, protocol: &P, child: &Configuration<P>) -> StripedInsert {
+        if self.dedup.len() >= self.budget.max_states
+            || self.queue.len() >= self.budget.max_frontier
+        {
+            return if self.dedup.contains(protocol, child) {
+                StripedInsert::BudgetDuplicate
+            } else {
+                StripedInsert::BudgetNew
+            };
+        }
+        if self.dedup.insert(protocol, child) {
+            StripedInsert::New
+        } else {
+            StripedInsert::Duplicate
+        }
+    }
+
+    fn keep(&mut self, parent: NodeId, action: Action, _depth: usize, child: Configuration<P>) {
+        let node = self.arena.child_action(parent, action);
+        if self.record_discovery {
+            self.discovery.push(node);
+        }
+        self.queue.push_back((child, node));
+        self.stats.peak_frontier = self.stats.peak_frontier.max(self.queue.len());
     }
 }
 
 /// Take one edge's action on the scratch child, undoably — the step of
-/// both drivers. Panic isolation: a protocol whose transition function
+/// every search. Panic isolation: a protocol whose transition function
 /// panics poisons only the scratch child, which the caller discards — the
-/// search itself survives and reports through [`Visitor::step_error`].
+/// search itself survives and reports the [`SimError::Panicked`].
 pub(crate) fn take_action<P: Protocol>(
     protocol: &P,
     child: &mut Configuration<P>,
@@ -1169,9 +981,11 @@ pub struct SynthesisReport<P: Protocol> {
     pub config: Configuration<P>,
     /// Distinct configurations explored.
     pub states: usize,
-    /// Whether the whole (depth-bounded) space was covered; `false` means a
-    /// state/frontier budget truncated the search, so a better schedule may
-    /// exist within the depth bound.
+    /// Whether the whole depth-bounded space was covered — every
+    /// configuration within the depth bound was scored, so `best_score` is
+    /// the true depth-bounded maximum. `false` means a state/frontier
+    /// budget (or a skipped step error) truncated the search, so a better
+    /// schedule may exist within the depth bound.
     pub complete: bool,
     /// Longest schedule explored.
     pub deepest: usize,
@@ -1184,11 +998,12 @@ pub struct SynthesisReport<P: Protocol> {
 /// for the worst reachable configuration and return the schedule that
 /// produces it.
 ///
-/// The search is best-first on the objective (so high-scoring regions are
-/// reached before the state budget runs out) and exact: every configuration
-/// within the depth/state/frontier budget is visited once, deduplicated
-/// exactly, so with ample budgets the returned schedule is the true
-/// depth-bounded maximum.
+/// The search runs on [`Engine::run_min_depth`] like every exhaustive
+/// client: every configuration within the depth bound is visited once, at
+/// its minimum depth, deduplicated exactly, and scored once. With budgets
+/// that do not bind ([`SynthesisReport::complete`]) the returned schedule
+/// is the true depth-bounded maximum, reached by a shortest schedule among
+/// the maximizers visited first.
 ///
 /// # Example
 ///
@@ -1220,85 +1035,38 @@ impl AdversarySynthesis {
         }
     }
 
-    /// Bound the pending frontier (memory high-water mark).
-    pub fn with_frontier_budget(mut self, frontier: usize) -> Self {
-        self.budget.max_frontier = frontier;
-        self
-    }
-
     /// Search all schedules from `initial` (up to the budgets) for the
     /// configuration maximizing `objective`, and return it with its
     /// schedule.
     ///
-    /// The objective is evaluated exactly once per discovered
-    /// configuration: the frontier scores entries for its priority order
-    /// and tracks the maximum at the same time. Ties keep the
-    /// first-discovered configuration, which is deterministic.
+    /// The objective is evaluated exactly once per visited configuration,
+    /// in [`Visitor::enter`]. Ties keep the first-visited configuration,
+    /// which is deterministic.
     pub fn maximize<P: Protocol>(
         &self,
         protocol: &P,
         initial: &Configuration<P>,
-        objective: impl Fn(&P, &Configuration<P>) -> u64,
+        objective: impl Fn(&P, &Configuration<P>) -> u64 + Sync,
     ) -> SynthesisReport<P> {
-        struct Best<P: Protocol> {
-            score: u64,
-            node: NodeId,
-            config: Configuration<P>,
-        }
-        /// Best-first frontier that also records the extremum at push time,
-        /// so the objective runs once per configuration (scoring can be
-        /// expensive — the Lemma 8 pressure objective runs solo
-        /// executions).
-        struct SynthFrontier<'o, P: Protocol, O> {
-            heap: BinaryHeap<Scored<P>>,
+        /// Scores every visited configuration and keeps the first maximum.
+        /// A rejected step is skipped work (marks the search incomplete),
+        /// never a silent abort.
+        struct Maximize<'o, P: Protocol, O> {
             objective: &'o O,
-            seq: u64,
-            best: Option<Best<P>>,
+            best: Option<(u64, Vec<ProcessId>, Configuration<P>)>,
         }
-        impl<P: Protocol, O: Fn(&P, &Configuration<P>) -> u64> Frontier<P> for SynthFrontier<'_, P, O> {
-            fn push(
-                &mut self,
-                protocol: &P,
-                config: Configuration<P>,
-                node: NodeId,
-                _depth: usize,
-            ) {
-                let score = (self.objective)(protocol, &config);
-                if self.best.as_ref().is_none_or(|b| score > b.score) {
-                    self.best = Some(Best {
-                        score,
-                        node,
-                        config: config.clone(),
-                    });
-                }
-                self.seq += 1;
-                self.heap.push(Scored {
-                    score,
-                    seq: self.seq,
-                    config,
-                    node,
-                });
-            }
-
-            fn pop(&mut self) -> Option<(Configuration<P>, NodeId)> {
-                self.heap.pop().map(|s| (s.config, s.node))
-            }
-
-            fn len(&self) -> usize {
-                self.heap.len()
-            }
-        }
-        /// Nothing to check per state; a rejected step is skipped work
-        /// (marks the search incomplete), never a silent abort.
-        struct SynthVisitor;
-        impl<P: Protocol> Visitor<P> for SynthVisitor {
+        impl<P: Protocol, O: Fn(&P, &Configuration<P>) -> u64> Visitor<P> for Maximize<'_, P, O> {
             fn enter(
                 &mut self,
-                _protocol: &P,
-                _config: &Configuration<P>,
-                _ctx: &NodeCtx<'_>,
+                protocol: &P,
+                config: &Configuration<P>,
+                ctx: &NodeCtx<'_>,
                 _candidates: &[Action],
             ) -> Control {
+                let score = (self.objective)(protocol, config);
+                if self.best.as_ref().is_none_or(|b| score > b.0) {
+                    self.best = Some((score, ctx.schedule(), config.clone()));
+                }
                 Control::Continue
             }
 
@@ -1312,30 +1080,27 @@ impl AdversarySynthesis {
             }
         }
 
-        let capacity = self.budget.max_states.min(1 << 14);
-        let mut dedup: DedupSet<P> = DedupSet::exact(capacity);
-        let mut arena = ScheduleArena::new();
-        let mut frontier = SynthFrontier {
-            heap: BinaryHeap::new(),
+        let mut visitor = Maximize {
             objective: &objective,
-            seq: 0,
             best: None,
         };
-        let stats = Engine::new(self.budget).run(
-            protocol,
-            initial.clone(),
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut frontier,
-            &mut SynthVisitor,
-        );
-        let best = frontier.best.expect("the root is always discovered");
+        let (stats, states) = Engine::new(self.budget)
+            .run_min_depth(
+                protocol,
+                initial.clone(),
+                DedupSet::exact(self.budget.max_states.min(1 << 14)),
+                || AllRunning,
+                std::slice::from_mut(&mut visitor),
+                None,
+                None,
+            )
+            .expect("fresh runs cannot fail to resume");
+        let (best_score, schedule, config) = visitor.best.expect("the root is always visited");
         SynthesisReport {
-            best_score: best.score,
-            schedule: arena.schedule(best.node),
-            config: best.config,
-            states: dedup.len(),
+            best_score,
+            schedule,
+            config,
+            states,
             // The depth horizon *defines* a synthesis search (racing
             // protocols are unbounded); only a state/frontier budget — or
             // a skipped step error — genuinely truncates it.
@@ -1355,7 +1120,7 @@ pub fn synthesize<P: Protocol>(
     inputs: &[u64],
     max_depth: usize,
     max_states: usize,
-    objective: impl Fn(&P, &Configuration<P>) -> u64,
+    objective: impl Fn(&P, &Configuration<P>) -> u64 + Sync,
 ) -> SynthesisReport<P> {
     let initial = Configuration::initial(protocol, inputs)
         .expect("adversary synthesis requires valid inputs");
@@ -1372,7 +1137,33 @@ mod tests {
         Configuration::initial(&TwoProcessSwapConsensus, inputs).unwrap()
     }
 
+    /// Run `visitor` inline over the two-process space from `inputs`;
+    /// returns the stats and the number of distinct configurations.
+    fn search<E, V>(
+        engine: Engine,
+        inputs: &[u64],
+        expansion: E,
+        visitor: &mut V,
+    ) -> (SearchStats, usize)
+    where
+        E: Expansion<TwoProcessSwapConsensus> + Copy + Send,
+        V: Visitor<TwoProcessSwapConsensus> + Send,
+    {
+        engine
+            .run_min_depth(
+                &TwoProcessSwapConsensus,
+                init(inputs),
+                DedupSet::exact(64),
+                || expansion,
+                std::slice::from_mut(visitor),
+                None,
+                None,
+            )
+            .unwrap()
+    }
+
     /// A visitor that records visit order and nothing else.
+    #[derive(Default)]
     struct Recorder {
         depths: Vec<usize>,
     }
@@ -1392,43 +1183,29 @@ mod tests {
 
     #[test]
     fn fifo_engine_covers_the_two_process_space() {
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        let mut visitor = Recorder { depths: Vec::new() };
-        let stats = Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut Fifo::new(),
-            &mut visitor,
-        );
+        let mut visitor = Recorder::default();
+        let engine = Engine::new(Budget::new(10, 10_000));
+        let (stats, states) = search(engine, &[0, 1], AllRunning, &mut visitor);
         // The known space: 5 configurations (initial, two mids, two
         // terminals), all reachable within depth 2.
         assert_eq!(stats.states, 5);
-        assert_eq!(dedup.len(), 5);
+        assert_eq!(states, 5);
         assert!(stats.complete());
         assert!(!stats.stopped);
         assert_eq!(stats.deepest, 2);
         assert_eq!(stats.terminal_states, 2);
-        assert_eq!(visitor.depths.len(), 5);
+        assert_eq!(visitor.depths, [0, 1, 1, 2, 2], "min-depth order");
     }
 
     #[test]
     fn group_restricted_expansion_limits_the_walk() {
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        let mut visitor = Recorder { depths: Vec::new() };
         let group = [ProcessId(0)];
-        let stats = Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut GroupRestricted(&group),
-            &mut Fifo::new(),
-            &mut visitor,
+        let engine = Engine::new(Budget::new(10, 10_000));
+        let (stats, _) = search(
+            engine,
+            &[0, 1],
+            GroupRestricted(&group),
+            &mut Recorder::default(),
         );
         // p0-only executions: initial and the configuration after p0's
         // single swap. p1 never steps.
@@ -1437,67 +1214,16 @@ mod tests {
     }
 
     #[test]
-    fn pruned_expansion_sees_the_configuration() {
-        // Prune to "p1 only, and only before anyone decided".
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        let mut visitor = Recorder { depths: Vec::new() };
-        let mut expansion = PrunedExpansion(
-            |_: &TwoProcessSwapConsensus,
-             c: &Configuration<TwoProcessSwapConsensus>,
-             out: &mut Vec<Action>| {
-                if c.decided_values().is_empty() {
-                    out.extend(
-                        c.running()
-                            .into_iter()
-                            .filter(|p| p.index() == 1)
-                            .map(Action::Step),
-                    );
-                }
-            },
-        );
-        let stats = Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut expansion,
-            &mut Fifo::new(),
-            &mut visitor,
-        );
-        // Initial, then p1 decided (terminal for the pruned policy).
-        assert_eq!(stats.states, 2);
-    }
-
-    #[test]
     fn exact_state_budget_still_reports_complete() {
         // The budget-accounting discipline, pinned at the engine level: a
         // budget of exactly the space size drains without skipping work.
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        let stats = Engine::new(Budget::new(10, 5)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut Fifo::new(),
-            &mut Recorder { depths: Vec::new() },
-        );
+        let engine = Engine::new(Budget::new(10, 5));
+        let (stats, _) = search(engine, &[0, 1], AllRunning, &mut Recorder::default());
         assert_eq!(stats.states, 5);
         assert!(stats.complete(), "exactly-sized budget is still exhaustive");
         assert!(!stats.budget_truncated);
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        let stats = Engine::new(Budget::new(10, 4)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut Fifo::new(),
-            &mut Recorder { depths: Vec::new() },
-        );
+        let engine = Engine::new(Budget::new(10, 4));
+        let (stats, _) = search(engine, &[0, 1], AllRunning, &mut Recorder::default());
         assert!(!stats.complete(), "one state fewer genuinely truncates");
         assert!(stats.budget_truncated && !stats.depth_truncated);
     }
@@ -1520,17 +1246,8 @@ mod tests {
                 }
             }
         }
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        let stats = Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut Fifo::new(),
-            &mut StopAtDepth1,
-        );
+        let engine = Engine::new(Budget::new(10, 10_000));
+        let (stats, _) = search(engine, &[0, 1], AllRunning, &mut StopAtDepth1);
         assert!(stats.stopped);
         assert!(stats.states < 5);
     }
@@ -1576,68 +1293,15 @@ mod tests {
             duplicate_edges: 0,
             schedules_ok: true,
         };
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
         // Unanimous inputs: the two schedule orders converge on the same
         // terminal, so the second order's last edge is a duplicate.
-        Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[1, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut Fifo::new(),
-            &mut visitor,
-        );
+        let engine = Engine::new(Budget::new(10, 10_000));
+        search(engine, &[1, 1], AllRunning, &mut visitor);
         // Every edge in this protocol decides; the two orders converge on
         // duplicate terminals.
         assert!(visitor.decided_edges >= 4, "{}", visitor.decided_edges);
         assert!(visitor.duplicate_edges >= 1);
         assert!(visitor.schedules_ok, "edge schedules end with the edge pid");
-    }
-
-    #[test]
-    fn best_first_visits_high_scores_before_low() {
-        // Score = number of decided processes: the best-first engine must
-        // reach a terminal configuration before exhausting the mids.
-        let mut order: Vec<usize> = Vec::new();
-        struct ScoreLog<'a> {
-            order: &'a mut Vec<usize>,
-        }
-        impl<P: Protocol> Visitor<P> for ScoreLog<'_> {
-            fn enter(
-                &mut self,
-                _p: &P,
-                c: &Configuration<P>,
-                _ctx: &NodeCtx<'_>,
-                _cands: &[Action],
-            ) -> Control {
-                self.order.push(c.decisions_iter().flatten().count());
-                Control::Continue
-            }
-        }
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut BestFirst::new(|_: &TwoProcessSwapConsensus, c: &Configuration<_>, _| {
-                c.decisions_iter().flatten().count() as u64
-            }),
-            &mut ScoreLog { order: &mut order },
-        );
-        assert_eq!(order.len(), 5);
-        // Root first (forced), then the best-first order must surface a
-        // fully decided configuration before the last mid.
-        let first_terminal = order.iter().position(|&d| d == 2).unwrap();
-        let last_mid = order.iter().rposition(|&d| d == 1).unwrap();
-        assert!(
-            first_terminal < last_mid,
-            "best-first must chase decisions: {order:?}"
-        );
     }
 
     #[test]
@@ -1675,16 +1339,12 @@ mod tests {
 
     #[test]
     fn crash_bounded_zero_failures_is_the_identity() {
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        let stats = Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut CrashBounded::new(AllRunning, 0),
-            &mut Fifo::new(),
-            &mut Recorder { depths: Vec::new() },
+        let engine = Engine::new(Budget::new(10, 10_000));
+        let (stats, _) = search(
+            engine,
+            &[0, 1],
+            CrashBounded::new(AllRunning, 0),
+            &mut Recorder::default(),
         );
         assert_eq!(stats.states, 5, "f = 0 explores the crash-free space");
         assert!(stats.complete());
@@ -1716,15 +1376,11 @@ mod tests {
             crashed_configs: 0,
             max_crashed: 0,
         };
-        let mut dedup = DedupSet::exact(64);
-        let mut arena = ScheduleArena::new();
-        let stats = Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut CrashBounded::new(AllRunning, 1),
-            &mut Fifo::new(),
+        let engine = Engine::new(Budget::new(10, 10_000));
+        let (stats, _) = search(
+            engine,
+            &[0, 1],
+            CrashBounded::new(AllRunning, 1),
             &mut visitor,
         );
         assert!(stats.complete());
@@ -1742,19 +1398,8 @@ mod tests {
 
     #[test]
     fn zero_deadline_truncates_gracefully() {
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        let stats = Engine::new(Budget::new(10, 10_000))
-            .with_deadline(Duration::ZERO)
-            .run(
-                &TwoProcessSwapConsensus,
-                init(&[0, 1]),
-                &mut dedup,
-                &mut arena,
-                &mut AllRunning,
-                &mut Fifo::new(),
-                &mut Recorder { depths: Vec::new() },
-            );
+        let engine = Engine::new(Budget::new(10, 10_000)).with_deadline(Duration::ZERO);
+        let (stats, _) = search(engine, &[0, 1], AllRunning, &mut Recorder::default());
         assert!(stats.deadline_truncated);
         assert!(!stats.complete());
         assert!(!stats.stopped, "a deadline is not a visitor abort");
@@ -1830,18 +1475,18 @@ mod tests {
         }
 
         let root = Configuration::initial(&PanickyProtocol, &[0, 1]).unwrap();
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
         let mut visitor = PanicLog { panics: Vec::new() };
-        let stats = Engine::new(Budget::new(10, 10_000)).run(
-            &PanickyProtocol,
-            root,
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut Fifo::new(),
-            &mut visitor,
-        );
+        let (stats, _) = Engine::new(Budget::new(10, 10_000))
+            .run_min_depth(
+                &PanickyProtocol,
+                root,
+                DedupSet::exact(16),
+                || AllRunning,
+                std::slice::from_mut(&mut visitor),
+                None,
+                None,
+            )
+            .unwrap();
         assert!(!stats.stopped, "Continue from step_error keeps searching");
         assert_eq!(stats.states, 1, "only the root is reachable");
         assert!(stats.budget_truncated, "skipped edges mark incompleteness");
@@ -1849,22 +1494,29 @@ mod tests {
         assert!(visitor.panics[0].1.contains("injected protocol bug"));
     }
 
+    /// Run `visitor` over the crash-injected two-process space, optionally
+    /// resuming from `image` and checkpointing into `ckpt`.
+    fn crash_search(
+        visitor: &mut Recorder,
+        resume: Option<&SearchImage>,
+        ckpt: Option<Checkpointing<'_>>,
+    ) -> Result<(SearchStats, usize), ResumeError> {
+        Engine::new(Budget::new(10, 10_000)).run_min_depth(
+            &TwoProcessSwapConsensus,
+            init(&[0, 1]),
+            DedupSet::exact(64),
+            || CrashBounded::new(AllRunning, 1),
+            std::slice::from_mut(visitor),
+            resume,
+            ckpt,
+        )
+    }
+
     #[test]
     fn pause_and_resume_have_full_parity() {
         // Uninterrupted baseline.
-        let mut dedup = DedupSet::exact(64);
-        let mut arena = ScheduleArena::new();
-        let mut baseline_visitor = Recorder { depths: Vec::new() };
-        let baseline = Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut CrashBounded::new(AllRunning, 1),
-            &mut Fifo::new(),
-            &mut baseline_visitor,
-        );
-        let baseline_states = dedup.len();
+        let mut baseline_visitor = Recorder::default();
+        let (baseline, baseline_states) = crash_search(&mut baseline_visitor, None, None).unwrap();
 
         // Interrupted run: pause at the first snapshot (after 2 states).
         let mut image: Option<SearchImage> = None;
@@ -1872,22 +1524,16 @@ mod tests {
             image = Some(img.clone());
             Control::Stop
         };
-        let mut dedup2 = DedupSet::exact(64);
-        let mut arena2 = ScheduleArena::new();
-        let mut first_visitor = Recorder { depths: Vec::new() };
-        let paused = Engine::new(Budget::new(10, 10_000)).run_with(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup2,
-            &mut arena2,
-            &mut CrashBounded::new(AllRunning, 1),
-            &mut Fifo::new(),
+        let mut first_visitor = Recorder::default();
+        let (paused, _) = crash_search(
             &mut first_visitor,
+            None,
             Some(Checkpointing {
                 interval: 2,
                 sink: &mut sink,
             }),
-        );
+        )
+        .unwrap();
         assert!(paused.paused);
         assert!(!paused.complete());
         assert_eq!(paused.states, 2);
@@ -1895,24 +1541,11 @@ mod tests {
         assert_eq!(image.stats.states, 2);
 
         // Resume with entirely fresh state.
-        let mut dedup3 = DedupSet::exact(64);
-        let mut arena3 = ScheduleArena::new();
-        let mut resumed_visitor = Recorder { depths: Vec::new() };
-        let resumed = Engine::new(Budget::new(10, 10_000))
-            .resume(
-                &TwoProcessSwapConsensus,
-                init(&[0, 1]),
-                &image,
-                &mut dedup3,
-                &mut arena3,
-                &mut CrashBounded::new(AllRunning, 1),
-                &mut Fifo::new(),
-                &mut resumed_visitor,
-                None,
-            )
-            .unwrap();
+        let mut resumed_visitor = Recorder::default();
+        let (resumed, resumed_states) =
+            crash_search(&mut resumed_visitor, Some(&image), None).unwrap();
         assert_eq!(resumed, baseline, "stats parity");
-        assert_eq!(dedup3.len(), baseline_states, "state-count parity");
+        assert_eq!(resumed_states, baseline_states, "state-count parity");
         // The resumed run visits exactly the not-yet-visited suffix, in the
         // same order.
         assert_eq!(
@@ -1932,38 +1565,18 @@ mod tests {
             image = Some(img.clone());
             Control::Stop
         };
-        let mut dedup = DedupSet::exact(64);
-        let mut arena = ScheduleArena::new();
-        Engine::new(Budget::new(10, 10_000)).run_with(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut Fifo::new(),
-            &mut Recorder { depths: Vec::new() },
+        crash_search(
+            &mut Recorder::default(),
+            None,
             Some(Checkpointing {
                 interval: 1,
                 sink: &mut sink,
             }),
-        );
+        )
+        .unwrap();
         let good = image.unwrap();
 
-        let resume = |img: &SearchImage| {
-            let mut dedup = DedupSet::exact(64);
-            let mut arena = ScheduleArena::new();
-            Engine::new(Budget::new(10, 10_000)).resume(
-                &TwoProcessSwapConsensus,
-                init(&[0, 1]),
-                img,
-                &mut dedup,
-                &mut arena,
-                &mut AllRunning,
-                &mut Fifo::new(),
-                &mut Recorder { depths: Vec::new() },
-                None,
-            )
-        };
+        let resume = |img: &SearchImage| crash_search(&mut Recorder::default(), Some(img), None);
         assert!(resume(&good).is_ok());
 
         // Dangling frontier node.

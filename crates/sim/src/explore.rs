@@ -36,18 +36,18 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::canon::{self, Canonicalizer, DedupSet};
 use crate::config::Configuration;
 use crate::engine::{
-    AllRunning, Budget, Checkpointing, Control, CrashBounded, EdgeCtx, Engine, NodeCtx,
-    ResumeError, SearchImage, Visitor,
+    take_action, AllRunning, Budget, Checkpointing, Control, CrashBounded, EdgeCtx, Engine,
+    NodeCtx, ResumeError, SearchImage, Visitor,
 };
 use crate::ids::{Action, ProcessId};
 use crate::protocol::Protocol;
 use crate::runner::{solo_run, SoloRunError};
-use crate::search::{PrehashedMap, ScheduleArena};
+use crate::search::{NodeId, PrehashedMap, ScheduleArena};
 use crate::snapshot::{read_snapshot, write_snapshot, RunMeta, SnapshotError};
 use crate::task::{KSetTask, TaskViolation};
 
@@ -237,6 +237,7 @@ impl ModelChecker {
         resume_from: Option<&SearchImage>,
         ckpt: Option<Checkpointing<'_>>,
     ) -> Result<CheckReport, ResumeError> {
+        let started = Instant::now();
         let initial =
             Configuration::initial(protocol, inputs).expect("model checker requires valid inputs");
         // Pre-size the visited set toward the state budget (clamped: tiny
@@ -301,20 +302,23 @@ impl ModelChecker {
             memo.merge(local);
         }
         let mut complete = stats.complete();
+        let mut deadline_truncated = stats.deadline_truncated;
         // Wait-freedom runs only once the safety sweep ran to its natural
         // end (an interrupted run re-checks it after the resumed leg, so
         // the final verdict is identical either way).
         if violation.is_none() && !stats.deadline_truncated && !stats.paused {
             if let Some(bound) = self.wait_free_bound {
-                let (wf_violation, wf_complete) = wait_free_counterexample(
+                let leg = wait_free_counterexample(
                     protocol,
                     &initial,
                     bound,
                     self.max_failures,
                     self.max_states,
+                    self.deadline.map(|d| started + d),
                 );
-                violation = wf_violation;
-                complete &= wf_complete;
+                violation = leg.violation;
+                complete &= leg.complete && !leg.deadline_truncated;
+                deadline_truncated |= leg.deadline_truncated;
             }
         }
         Ok(CheckReport {
@@ -326,7 +330,7 @@ impl ModelChecker {
             symmetry_group,
             symmetry_degraded,
             solo_memo_hits,
-            deadline_truncated: stats.deadline_truncated,
+            deadline_truncated,
             paused: stats.paused,
             violation,
         })
@@ -857,8 +861,9 @@ pub struct CheckReport {
     pub symmetry_degraded: bool,
     /// Solo-termination checks answered from the memo instead of re-run.
     pub solo_memo_hits: usize,
-    /// The wall-clock deadline expired with work still pending. Recoverable
-    /// with checkpoint/resume, unlike the hard budget cutoffs.
+    /// The wall-clock deadline expired with work still pending — in the
+    /// safety sweep (recoverable with checkpoint/resume, unlike the hard
+    /// budget cutoffs) or in the wait-freedom leg that follows it.
     pub deadline_truncated: bool,
     /// A checkpoint sink paused the run ([`ModelChecker::check_paused`]);
     /// hand the returned image to [`ModelChecker::resume`] to finish.
@@ -1005,18 +1010,25 @@ impl fmt::Display for ViolationKind {
 /// (max-`j` dominance), keyed by [`Configuration::fingerprint`] with an
 /// exact-equality fallback (hash quality never decides the verdict).
 ///
-/// Returns the first counterexample (or `None`) plus a completeness flag:
-/// `false` means the `max_states` budget cut the product search short and a
-/// clean verdict is only a bounded certificate.
+/// A step the simulator rejects, or a transition that panics (isolated by
+/// [`take_action`]), ends the search with a [`ViolationKind::Internal`]
+/// violation and the schedule that reaches it. The check's `deadline` is
+/// tested before every pop; expiry with work pending returns early with
+/// `deadline_truncated` set.
 fn wait_free_counterexample<P: Protocol>(
     protocol: &P,
     initial: &Configuration<P>,
     bound: usize,
     max_failures: usize,
     max_states: usize,
-) -> (Option<FoundViolation>, bool) {
+    deadline: Option<Instant>,
+) -> WaitFreeOutcome {
+    let mut outcome = WaitFreeOutcome {
+        violation: None,
+        complete: true,
+        deadline_truncated: false,
+    };
     let n = initial.num_processes();
-    let mut complete = true;
     let mut visited_total = 0usize;
     for p in (0..n).map(ProcessId) {
         if initial.decision(p).is_some() {
@@ -1025,61 +1037,78 @@ fn wait_free_counterexample<P: Protocol>(
         // Dominance map: fingerprint bucket -> (config, max own-steps seen).
         let mut seen: PrehashedMap<Vec<(Configuration<P>, usize)>> = PrehashedMap::default();
         let mut arena = ScheduleArena::new();
-        let mut queue: VecDeque<(Configuration<P>, usize, crate::search::NodeId)> = VecDeque::new();
+        let mut queue: VecDeque<(Configuration<P>, usize, NodeId)> = VecDeque::new();
         queue.push_back((initial.clone(), 0, ScheduleArena::ROOT));
         seen.entry(initial.fingerprint())
             .or_default()
             .push((initial.clone(), 0));
         let mut running = Vec::new();
-        while let Some((config, own, node)) = queue.pop_front() {
+        loop {
+            if deadline.is_some_and(|d| Instant::now() >= d) && !queue.is_empty() {
+                outcome.deadline_truncated = true;
+                return outcome;
+            }
+            let Some((config, own, node)) = queue.pop_front() else {
+                break;
+            };
             visited_total += 1;
             if visited_total > max_states {
-                complete = false;
+                outcome.complete = false;
                 break;
             }
             if config.decision(p).is_some() {
                 continue; // `p` decided on this branch: wait-freedom held.
             }
             if own >= bound {
-                return (
-                    Some(FoundViolation {
-                        kind: ViolationKind::WaitFree { pid: p, bound },
-                        schedule: arena.actions(node),
-                    }),
-                    complete,
-                );
+                outcome.violation = Some(FoundViolation {
+                    kind: ViolationKind::WaitFree { pid: p, bound },
+                    schedule: arena.actions(node),
+                });
+                return outcome;
             }
             config.running_into(&mut running);
             let crash_allowed = config.num_crashed() < max_failures;
             for &q in &running {
-                let mut child = config.clone();
-                if child
-                    .step_quiet(protocol, q)
-                    .expect("wait-free search stepped a running process")
-                    .is_some()
-                    && q == p
-                {
-                    continue; // `p` just decided: nothing left to starve.
-                }
-                let own_after = own + usize::from(q == p);
-                if dominates_insert(&mut seen, &child, own_after) {
-                    let child_node = arena.child(node, q);
-                    queue.push_back((child, own_after, child_node));
-                }
-                if crash_allowed && q != p {
-                    let mut crashed = config.clone();
-                    crashed
-                        .crash(q)
-                        .expect("wait-free search crashed a running process");
-                    if dominates_insert(&mut seen, &crashed, own) {
-                        let crash_node = arena.child_action(node, Action::Crash(q));
-                        queue.push_back((crashed, own, crash_node));
+                let edges = [Action::Step(q), Action::Crash(q)];
+                let crash = usize::from(crash_allowed && q != p);
+                for &action in &edges[..1 + crash] {
+                    let mut child = config.clone();
+                    let decided = match take_action(protocol, &mut child, action) {
+                        Ok((decided, _)) => decided,
+                        Err(error) => {
+                            let mut schedule = arena.actions(node);
+                            schedule.push(action);
+                            outcome.violation = Some(FoundViolation {
+                                kind: ViolationKind::Internal(error.to_string()),
+                                schedule,
+                            });
+                            return outcome;
+                        }
+                    };
+                    if decided.is_some() && q == p {
+                        continue; // `p` just decided: nothing left to starve.
+                    }
+                    let own_after = own + usize::from(action == Action::Step(p));
+                    if dominates_insert(&mut seen, &child, own_after) {
+                        let child_node = arena.child_action(node, action);
+                        queue.push_back((child, own_after, child_node));
                     }
                 }
             }
         }
     }
-    (None, complete)
+    outcome
+}
+
+/// What the wait-free product search found.
+struct WaitFreeOutcome {
+    /// The first counterexample, if any.
+    violation: Option<FoundViolation>,
+    /// `false` means the `max_states` budget cut the product search short,
+    /// so a clean verdict is only a bounded certificate.
+    complete: bool,
+    /// The check's deadline expired with work still pending.
+    deadline_truncated: bool,
 }
 
 /// Insert `(config, own)` into the wait-free dominance map unless an entry
@@ -1403,6 +1432,73 @@ mod tests {
             .with_wait_free_bound(1)
             .check(&TwoProcessSwapConsensus, &[0, 1]);
         assert!(report.proves_safety(), "{report}");
+    }
+
+    /// Two processes that swap forever and never decide; a process's
+    /// third step panics — a protocol bug only deep schedules reach.
+    struct LateBug;
+
+    impl Protocol for LateBug {
+        type State = u64;
+        type Value = u64;
+        fn name(&self) -> String {
+            "late bug".into()
+        }
+        fn task(&self) -> KSetTask {
+            KSetTask::new(2, 1, 2)
+        }
+        fn num_objects(&self) -> usize {
+            1
+        }
+        fn schema(&self, _obj: crate::ObjectId) -> swapcons_objects::ObjectSchema {
+            swapcons_objects::ObjectSchema::swap()
+        }
+        fn initial_value(&self, _obj: crate::ObjectId) -> u64 {
+            0
+        }
+        fn initial_state(&self, _pid: ProcessId, _input: u64) -> u64 {
+            0
+        }
+        fn poised(&self, steps: &u64) -> (crate::ObjectId, swapcons_objects::ObjectOp<u64>) {
+            (
+                crate::ObjectId(0),
+                swapcons_objects::HistorylessOp::Swap(*steps).into(),
+            )
+        }
+        fn observe(
+            &self,
+            steps: u64,
+            _response: swapcons_objects::Response<u64>,
+        ) -> crate::Transition<u64> {
+            assert!(steps < 2, "late protocol bug");
+            crate::Transition::Continue(steps + 1)
+        }
+    }
+
+    #[test]
+    fn wait_free_leg_reports_a_panicking_step_as_internal() {
+        // The safety sweep stops at depth 2, before any third step; the
+        // wait-free leg goes deeper and must report the panic, not die.
+        let report = ModelChecker::new(2, 10_000)
+            .with_wait_free_bound(5)
+            .check(&LateBug, &[0, 1]);
+        let v = report.violation.expect("the late bug must be reported");
+        match &v.kind {
+            ViolationKind::Internal(msg) => assert!(msg.contains("late protocol bug"), "{msg}"),
+            other => panic!("expected an internal violation, got {other}"),
+        }
+        let p0 = Action::Step(ProcessId(0));
+        assert_eq!(v.schedule, [p0, p0, p0], "the shortest schedule to the bug");
+    }
+
+    #[test]
+    fn wait_free_leg_honours_the_deadline() {
+        let initial = Configuration::initial(&LateBug, &[0, 1]).unwrap();
+        let leg = wait_free_counterexample(&LateBug, &initial, 5, 0, 10_000, Some(Instant::now()));
+        assert!(leg.deadline_truncated);
+        assert!(leg.violation.is_none(), "expired before the first pop");
+        let leg = wait_free_counterexample(&LateBug, &initial, 5, 0, 10_000, None);
+        assert!(!leg.deadline_truncated && leg.violation.is_some());
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! Sharded (multi-worker) search driver: work-stealing exploration in
 //! depth-synchronized waves.
 //!
-//! This module is the engine's parallel mode. It keeps the exploration
-//! *semantics* of [`crate::engine`] — the same [`Visitor`] with the same
-//! per-node hook order and the same [`NodeCtx`]/[`EdgeCtx`] views, the same
-//! exact budget discipline, the same witness materialization — while
-//! spreading node expansion across a pool of `std::thread` workers (the
+//! This module is the engine's parallel mode. It expands every node
+//! through the engine's one node body (`Expander::expand` in
+//! [`crate::engine`]) — so the [`Visitor`] hooks, their order, the
+//! [`NodeCtx`](crate::engine::NodeCtx)/[`EdgeCtx`](crate::engine::EdgeCtx)
+//! views, the budget discipline and the panic containment are the inline
+//! driver's by construction — and only reaches that body through a worker
+//! seam over the shared counters, the [`StripedDedup`] stripes, the
+//! per-worker arenas and the next-wave buffers. What is this module's own
+//! is the scheduling: claiming from a pool of `std::thread` workers (the
 //! vendored [`workpool`] crate; the build is offline, so no
-//! rayon/crossbeam). Clients reach it through
-//! [`Engine::run_min_depth`](crate::engine::Engine::run_min_depth), which
-//! runs a single worker inline on the engine's FIFO order instead.
+//! rayon/crossbeam), the deadline, the checkpoint cadence and the wave
+//! rendezvous. Clients reach it through
+//! [`Engine::run_min_depth`](crate::engine::Engine::run_min_depth) with
+//! more than one visitor; one visitor runs inline instead.
 //!
 //! # Threading model: depth-synchronized waves
 //!
@@ -26,10 +31,9 @@
 //!   of thread count and steal order — so the per-wave discovered sets, and
 //!   with them `states`, `terminal_states`, `deepest`, and the truncation
 //!   flags of [`SearchStats`], are reproducible run to run;
-//! * the inline one-worker run (a [`Fifo`](crate::engine::Fifo) frontier)
-//!   discovers the same min-depth sets, so while no state or frontier
-//!   budget binds those counters equal the t=1 report exactly — complete
-//!   and depth-bounded searches alike;
+//! * the inline one-worker run (a FIFO queue) discovers the same min-depth
+//!   sets, so while no state or frontier budget binds those counters equal
+//!   the t=1 report exactly — complete and depth-bounded searches alike;
 //! * a checkpoint drained mid-run (see below) resumes — inline, FIFO —
 //!   to the byte-identical report of the uninterrupted run.
 //!
@@ -55,13 +59,12 @@
 //! every worker parks at a barrier; the leader (worker 0) performs the
 //! single-threaded action — draining a [`SearchImage`], marking
 //! `deadline_truncated` (exactly once, satisfying the
-//! [`Engine::with_deadline`](crate::engine::Engine::with_deadline) contract
-//! in sharded mode), swapping waves, or finalizing — and releases the pool.
-//! Because every in-flight node completes before its worker parks, the
-//! drained image is a *consistent* sequential image: the arena re-sorted by
-//! (depth, owner, index), discovery order root-first, and the frontier
-//! ordered shallowest-first so a FIFO resume preserves the min-depth
-//! invariant.
+//! [`Engine::with_deadline`] contract in sharded mode), swapping waves, or
+//! finalizing — and releases the pool. Because every in-flight node
+//! completes before its worker parks, the drained image is a *consistent*
+//! sequential image: the arena re-sorted by (depth, owner, index),
+//! discovery order root-first, and the frontier ordered shallowest-first
+//! so a FIFO resume preserves the min-depth invariant.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -70,10 +73,10 @@ use std::time::{Duration, Instant};
 use workpool::WorkQueues;
 
 use crate::canon::DedupSet;
-use crate::config::{Configuration, SimError};
+use crate::config::Configuration;
 use crate::engine::{
-    take_action, Budget, Checkpointing, Control, EdgeCtx, Expansion, NodeCtx, SearchImage,
-    SearchStats, TreePos, Visitor,
+    Budget, Checkpointing, Control, Engine, Expander, Expansion, Seam, SearchImage, SearchStats,
+    TreePos, Visitor,
 };
 use crate::ids::Action;
 use crate::protocol::Protocol;
@@ -157,22 +160,22 @@ impl ShardedArenas {
     }
 }
 
-/// Outcome of a bounded striped insert — the sharded counterpart of the
-/// sequential engine's budget-check-then-insert sequence, folded into one
-/// atomic decision per configuration.
+/// Outcome of a bounded dedup insert: the one verdict the engine's node
+/// body acts on, in both drivers. [`StripedDedup::insert`] folds the
+/// state-budget check and the insert into one atomic decision per
+/// configuration; the inline driver classifies the same four ways.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StripedInsert {
     /// Genuinely new and within the state budget: the caller fires the
     /// `edge(is_new = true)` hook and enqueues the child.
     New,
     /// Already present, budget not exhausted: the caller fires the
-    /// `edge(is_new = false)` hook (the sequential engine calls `edge` for
-    /// every in-budget duplicate too).
+    /// `edge(is_new = false)` hook (`edge` runs for every in-budget
+    /// duplicate too).
     Duplicate,
     /// Would have been new, but the state budget is exhausted: the caller
-    /// sets `budget_truncated` and drops the child without any hook —
-    /// mirroring the sequential engine, which checks the budget *before*
-    /// the edge call.
+    /// sets `budget_truncated` and drops the child without any hook — the
+    /// budget is checked *before* the edge call.
     BudgetNew,
     /// A duplicate probed at/over the state budget: dropped without a hook
     /// and **without** setting `budget_truncated`, which is what keeps an
@@ -227,7 +230,7 @@ impl<P: Protocol> StripedDedup<P> {
     }
 
     /// Insert the root configuration, bypassing the state budget — the
-    /// sequential engine seeds its dedup set with the root unconditionally,
+    /// inline driver seeds its dedup set with the root unconditionally,
     /// and parity requires the same here (even for `max_states == 0`).
     pub fn insert_root(&self, protocol: &P, config: &Configuration<P>) {
         let key = self.keyer.key_of(protocol, config);
@@ -241,7 +244,7 @@ impl<P: Protocol> StripedDedup<P> {
     }
 
     /// Budget-bounded insert; see [`StripedInsert`] for the four outcomes
-    /// and how they mirror the sequential engine's order of checks.
+    /// and the order of checks they encode.
     ///
     /// The only cross-stripe coupling is the budget counter, and it is
     /// exact: a slot is reserved by CAS before the store, so concurrent
@@ -337,7 +340,7 @@ impl<P: Protocol> std::fmt::Debug for StripedDedup<P> {
 /// *raise* it (compare-and-swap, so detection is announced once); only the
 /// rendezvous leader *marks* `deadline_truncated` — in its single-threaded
 /// section, hence exactly once — and only if work was actually pending, the
-/// same condition the sequential loop applies.
+/// same condition the inline driver applies.
 struct DeadlineState {
     started: Instant,
     limit: Option<Duration>,
@@ -366,24 +369,6 @@ impl DeadlineState {
     fn is_raised(&self) -> bool {
         self.raised.load(Ordering::SeqCst)
     }
-}
-
-/// Options for [`run_sharded`].
-#[derive(Debug)]
-pub struct ShardOptions {
-    /// Worker count, 2..=[`MAX_THREADS`]. One worker is the inline FIFO
-    /// run of [`Engine::run_min_depth`](crate::engine::Engine::run_min_depth),
-    /// which needs no pool.
-    pub threads: usize,
-    /// Exact search budgets, identical in meaning to the sequential
-    /// engine's. The frontier bound is enforced against the global pending
-    /// count; at the exact boundary the check is best-effort (it can bind
-    /// one child early or late vs the sequential order), which only affects
-    /// searches that are already incomplete.
-    pub budget: Budget,
-    /// Wall-clock deadline; see `DeadlineState` on the exactly-once
-    /// `deadline_truncated` discipline.
-    pub deadline: Option<Duration>,
 }
 
 /// A claimed work item: the configuration, its global node id, and its
@@ -492,7 +477,7 @@ impl<P: Protocol> Shared<'_, P> {
         let discovery: Vec<NodeId> = std::iter::once(ScheduleArena::ROOT)
             .chain((0..total).map(|i| NodeId::from_raw(i as u32)))
             .collect();
-        // Frontier: current-wave remnants first (all at depth d), then the
+        // Pending work: current-wave remnants first (all at depth d), then the
         // next-wave buffers (all at depth d+1) — shallowest-first, so a
         // FIFO resume preserves the min-depth invariant.
         let mut frontier: Vec<NodeId> = Vec::new();
@@ -523,26 +508,26 @@ impl<P: Protocol> Shared<'_, P> {
     }
 }
 
-/// Run a sharded search from `root`, calling one [`Visitor`] per worker, and return the merged [`SearchStats`]. The root is inserted into
-/// `dedup` here (pass a fresh set); `visitors.len()` selects the worker
-/// count and must equal `opts.threads`.
+/// Run a sharded search from `root` under `engine`'s budget and deadline,
+/// calling one [`Visitor`] per worker, and return the merged
+/// [`SearchStats`]. The root is inserted into `dedup` here (pass a fresh
+/// set); `visitors.len()` is the worker count.
 ///
 /// See the module docs for the determinism and parity guarantees. The
 /// checkpoint `sink`, when present, observes drained sequential images on
 /// roughly the configured cadence (the sharded cadence is approximate: the
 /// drain lands at the first rendezvous after the threshold is crossed);
 /// returning [`Control::Stop`] from the sink pauses the run with
-/// `paused = true`, exactly like the sequential engine.
+/// `paused = true`, exactly like the inline driver.
 ///
 /// # Panics
 ///
-/// Panics if `opts.threads` is not in `2..=MAX_THREADS` or does not match
-/// `visitors.len()`.
-pub fn run_sharded<P, E, V>(
+/// Panics if `visitors.len()` is not in `2..=MAX_THREADS`.
+pub(crate) fn run_sharded<P, E, V>(
+    engine: &Engine,
     protocol: &P,
     root: Configuration<P>,
     dedup: &StripedDedup<P>,
-    opts: &ShardOptions,
     make_expansion: impl Fn() -> E,
     visitors: &mut [V],
     ckpt: Option<Checkpointing<'_>>,
@@ -552,12 +537,11 @@ where
     E: Expansion<P> + Send,
     V: Visitor<P> + Send,
 {
-    let threads = opts.threads;
+    let threads = visitors.len();
     assert!(
         (2..=MAX_THREADS).contains(&threads),
         "sharded runs take 2..={MAX_THREADS} workers (got {threads}); one worker runs inline"
     );
-    assert!(visitors.len() == threads, "one visitor per worker");
     let ckpt_interval = ckpt.as_ref().map_or(0, |c| c.interval.max(1));
     let shared = Shared {
         pool: WorkQueues::new(threads),
@@ -565,8 +549,8 @@ where
         arenas: ShardedArenas::new(threads),
         dedup,
         barrier: Barrier::new(threads),
-        deadline: DeadlineState::new(opts.deadline),
-        budget: opts.budget,
+        deadline: DeadlineState::new(engine.deadline),
+        budget: engine.budget,
         states: AtomicUsize::new(0),
         terminal: AtomicUsize::new(0),
         deepest: AtomicUsize::new(0),
@@ -618,7 +602,7 @@ fn worker_loop<P, E, V>(
     w: usize,
     protocol: &P,
     shared: &Shared<'_, P>,
-    mut expansion: E,
+    expansion: E,
     visitor: &mut V,
     mut ckpt: Option<Checkpointing<'_>>,
 ) where
@@ -626,8 +610,8 @@ fn worker_loop<P, E, V>(
     E: Expansion<P> + Send,
     V: Visitor<P> + Send,
 {
-    let mut candidates: Vec<Action> = Vec::new();
-    let mut child_scratch: Option<Configuration<P>> = None;
+    let mut expander = Expander::new(expansion, shared.budget.max_depth);
+    let mut seam = WorkerSeam { w, shared };
     loop {
         if shared.world.load(Ordering::SeqCst) {
             if rendezvous(w, shared, &mut ckpt) {
@@ -635,10 +619,10 @@ fn worker_loop<P, E, V>(
             }
             continue;
         }
-        // Satellite-6 deadline hoist: checked in shared worker state before
-        // every claim, mirroring the sequential loop's check before every
-        // pop. Whether it actually truncates (work pending) or the search
-        // just finished in time is decided by the leader.
+        // Deadline hoist: checked in shared worker state before every
+        // claim, mirroring the inline driver's check before every pop.
+        // Whether it actually truncates (work pending) or the search just
+        // finished in time is decided by the leader.
         if shared.deadline.expired() {
             shared.deadline.raise();
             shared.propose_world();
@@ -656,18 +640,8 @@ fn worker_loop<P, E, V>(
             }
             Some((config, gnode, depth)) => {
                 shared.in_frontier.fetch_sub(1, Ordering::SeqCst);
-                let control = process_node(
-                    w,
-                    protocol,
-                    shared,
-                    &mut expansion,
-                    visitor,
-                    &mut candidates,
-                    &mut child_scratch,
-                    config,
-                    gnode,
-                    depth,
-                );
+                let control =
+                    expander.expand(protocol, visitor, &mut seam, &config, gnode, depth as usize);
                 shared.pool.complete_one();
                 if control == Control::Stop {
                     shared.stopped.store(true, Ordering::SeqCst);
@@ -683,119 +657,60 @@ fn worker_loop<P, E, V>(
     }
 }
 
-/// Process one claimed node: the sharded mirror of the sequential engine's
-/// per-node body — same hook order, same budget-before-edge discipline,
-/// same copy-on-write scratch-child reuse, same panic containment.
-#[allow(clippy::too_many_arguments)]
-fn process_node<P, E, V>(
+/// Worker `w`'s side of the engine's node body: the shared atomics, the
+/// stripes, its own arena shard and its own next-wave buffer.
+struct WorkerSeam<'s, 'a, P: Protocol> {
     w: usize,
-    protocol: &P,
-    shared: &Shared<'_, P>,
-    expansion: &mut E,
-    visitor: &mut V,
-    candidates: &mut Vec<Action>,
-    child_scratch: &mut Option<Configuration<P>>,
-    config: Configuration<P>,
-    gnode: GNode,
-    depth: u32,
-) -> Control
-where
-    P: Protocol,
-    E: Expansion<P>,
-    V: Visitor<P>,
-{
-    shared.states.fetch_add(1, Ordering::SeqCst);
-    shared.deepest.fetch_max(depth as usize, Ordering::SeqCst);
-    candidates.clear();
-    expansion.candidates(protocol, &config, candidates);
-    let at = TreePos::Shards(&shared.arenas, gnode);
-    let ctx = NodeCtx {
-        at,
-        depth: depth as usize,
-    };
-    if visitor.enter(protocol, &config, &ctx, candidates) == Control::Stop {
-        return Control::Stop;
+    shared: &'s Shared<'a, P>,
+}
+
+impl<P: Protocol> Seam<P> for WorkerSeam<'_, '_, P> {
+    type Node = GNode;
+
+    fn pos(&self, node: GNode) -> TreePos<'_> {
+        TreePos::Shards(&self.shared.arenas, node)
     }
-    if candidates.is_empty() {
-        shared.terminal.fetch_add(1, Ordering::SeqCst);
-        return Control::Continue;
+
+    fn visited(&mut self, depth: usize) {
+        self.shared.states.fetch_add(1, Ordering::SeqCst);
+        self.shared.deepest.fetch_max(depth, Ordering::SeqCst);
     }
-    if depth as usize >= shared.budget.max_depth {
-        shared.depth_truncated.store(true, Ordering::SeqCst);
-        return Control::Continue;
+
+    fn terminal(&mut self) {
+        self.shared.terminal.fetch_add(1, Ordering::SeqCst);
     }
-    let mut scratch_synced = false;
-    for &action in candidates.iter() {
-        let child = match child_scratch {
-            Some(child) => {
-                if !scratch_synced {
-                    child.clone_state_from(&config);
-                }
-                child
-            }
-            None => child_scratch.insert(config.clone()),
-        };
-        scratch_synced = true;
-        match take_action(protocol, child, action) {
-            Ok((decided, undo)) => {
-                // Budget checks first, exactly as sequentially: a child
-                // probed while a budget binds gets no edge hook, and only a
-                // genuinely new one marks the search truncated.
-                if shared.in_frontier.load(Ordering::SeqCst) >= shared.budget.max_frontier {
-                    if !shared.dedup.contains(protocol, child) {
-                        shared.budget_truncated.store(true, Ordering::SeqCst);
-                    }
-                    child.undo_step(undo);
-                    continue;
-                }
-                match shared.dedup.insert(protocol, child) {
-                    StripedInsert::BudgetNew => {
-                        shared.budget_truncated.store(true, Ordering::SeqCst);
-                        child.undo_step(undo);
-                    }
-                    StripedInsert::BudgetDuplicate => {
-                        child.undo_step(undo);
-                    }
-                    StripedInsert::Duplicate => {
-                        let edge = EdgeCtx { parent: at, action };
-                        if visitor.edge(protocol, child, decided, false, &edge) == Control::Stop {
-                            return Control::Stop;
-                        }
-                        child.undo_step(undo);
-                    }
-                    StripedInsert::New => {
-                        let edge = EdgeCtx { parent: at, action };
-                        if visitor.edge(protocol, child, decided, true, &edge) == Control::Stop {
-                            return Control::Stop;
-                        }
-                        let child_gnode = shared.arenas.record(w, gnode, action, depth + 1);
-                        shared.next[w].lock().expect("buffer poisoned").push((
-                            child.clone(),
-                            child_gnode,
-                            depth + 1,
-                        ));
-                        let now = shared.in_frontier.fetch_add(1, Ordering::SeqCst) + 1;
-                        shared.peak_frontier.fetch_max(now, Ordering::SeqCst);
-                        scratch_synced = false;
-                    }
-                }
-            }
-            Err(error) => {
-                if matches!(error, SimError::Panicked { .. }) {
-                    // The scratch child may hold torn state: discard it.
-                    *child_scratch = None;
-                }
-                let edge = EdgeCtx { parent: at, action };
-                match visitor.step_error(protocol, error, &edge) {
-                    Control::Stop => return Control::Stop,
-                    Control::Continue => {
-                        shared.budget_truncated.store(true, Ordering::SeqCst);
-                    }
-                }
-            }
+
+    fn depth_truncated(&mut self) {
+        self.shared.depth_truncated.store(true, Ordering::SeqCst);
+    }
+
+    fn budget_truncated(&mut self) {
+        self.shared.budget_truncated.store(true, Ordering::SeqCst);
+    }
+
+    fn insert(&mut self, protocol: &P, child: &Configuration<P>) -> StripedInsert {
+        let shared = self.shared;
+        if shared.in_frontier.load(Ordering::SeqCst) >= shared.budget.max_frontier {
+            return if shared.dedup.contains(protocol, child) {
+                StripedInsert::BudgetDuplicate
+            } else {
+                StripedInsert::BudgetNew
+            };
         }
+        shared.dedup.insert(protocol, child)
     }
-    Control::Continue
+
+    fn keep(&mut self, parent: GNode, action: Action, depth: usize, child: Configuration<P>) {
+        let shared = self.shared;
+        let depth = u32::try_from(depth).expect("depth fits u32");
+        let node = shared.arenas.record(self.w, parent, action, depth);
+        shared.next[self.w]
+            .lock()
+            .expect("buffer poisoned")
+            .push((child, node, depth));
+        let now = shared.in_frontier.fetch_add(1, Ordering::SeqCst) + 1;
+        shared.peak_frontier.fetch_max(now, Ordering::SeqCst);
+    }
 }
 
 /// Park at the barrier; worker 0 executes the world operation
@@ -821,7 +736,7 @@ fn rendezvous<P: Protocol>(
 fn leader_step<P: Protocol>(shared: &Shared<'_, P>, ckpt: &mut Option<Checkpointing<'_>>) {
     if shared.stopped.load(Ordering::SeqCst) {
         // A visitor aborted: return immediately, no final snapshot —
-        // mirroring the sequential engine's early return.
+        // mirroring the inline driver's early return.
         shared.done.store(true, Ordering::SeqCst);
         return release(shared);
     }
@@ -833,7 +748,7 @@ fn leader_step<P: Protocol>(shared: &Shared<'_, P>, ckpt: &mut Option<Checkpoint
             shared.deadline_truncated.store(true, Ordering::SeqCst);
             if let Some(ck) = ckpt.as_mut() {
                 // Final resumable snapshot, verdict ignored (mirrors the
-                // sequential deadline path).
+                // inline deadline path).
                 let image = shared.drain_image(true);
                 let _ = (ck.sink)(&image);
             }
@@ -894,7 +809,8 @@ fn release<P: Protocol>(shared: &Shared<'_, P>) {
 mod tests {
     use super::*;
     use crate::canon::DedupSet;
-    use crate::engine::{AllRunning, Engine, Fifo};
+    use crate::engine::{AllRunning, NodeCtx};
+    use crate::ids::Action;
     use crate::search::VisitedSet;
     use crate::testing::TwoProcessSwapConsensus;
     use proptest::prelude::*;
@@ -1031,36 +947,22 @@ mod tests {
         }
     }
 
-    fn sequential_stats(budget: Budget) -> SearchStats {
-        let mut dedup = DedupSet::exact(128);
-        let mut arena = ScheduleArena::new();
-        Engine::new(budget).run(
-            &TwoProcessSwapConsensus,
-            cfg(0, 1),
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut Fifo::new(),
-            &mut Accept,
-        )
-    }
-
-    fn sharded_stats(budget: Budget, threads: usize) -> SearchStats {
-        let striped = StripedDedup::new(DedupSet::exact(128), 8, budget.max_states);
+    /// Stats of a search of the two-process space with `threads`
+    /// accepting visitors: one runs inline, more run the waves.
+    fn stats_at(budget: Budget, threads: usize) -> SearchStats {
         let mut visitors: Vec<Accept> = (0..threads).map(|_| Accept).collect();
-        run_sharded(
-            &TwoProcessSwapConsensus,
-            cfg(0, 1),
-            &striped,
-            &ShardOptions {
-                threads,
-                budget,
-                deadline: None,
-            },
-            || AllRunning,
-            &mut visitors,
-            None,
-        )
+        Engine::new(budget)
+            .run_min_depth(
+                &TwoProcessSwapConsensus,
+                cfg(0, 1),
+                DedupSet::exact(128),
+                || AllRunning,
+                &mut visitors,
+                None,
+                None,
+            )
+            .unwrap()
+            .0
     }
 
     /// Everything but the order-dependent high-water mark.
@@ -1080,16 +982,16 @@ mod tests {
     #[test]
     fn sharded_complete_search_matches_sequential_stats() {
         let budget = Budget::new(16, 100_000);
-        let seq = sequential_stats(budget);
+        let seq = stats_at(budget, 1);
         assert!(seq.complete(), "the two-process space is tiny");
         // A depth-1 horizon cuts the same space: the inline FIFO run and
         // the waves cover the same min-depth ball.
-        let cut = sequential_stats(Budget::new(1, 100_000));
+        let cut = stats_at(Budget::new(1, 100_000), 1);
         assert!(cut.depth_truncated && cut.states == 3, "{cut:?}");
         for threads in [2, 3, 4] {
-            let shard = sharded_stats(budget, threads);
+            let shard = stats_at(budget, threads);
             assert_eq!(parity_view(shard), parity_view(seq), "threads = {threads}");
-            let shard = sharded_stats(Budget::new(1, 100_000), threads);
+            let shard = stats_at(Budget::new(1, 100_000), threads);
             assert_eq!(parity_view(shard), parity_view(cut), "threads = {threads}");
         }
     }
@@ -1097,29 +999,28 @@ mod tests {
     #[test]
     fn sharded_runs_are_deterministic() {
         let budget = Budget::new(16, 100_000);
-        let first = sharded_stats(budget, 4);
+        let first = stats_at(budget, 4);
         for _ in 0..2 {
-            assert_eq!(parity_view(sharded_stats(budget, 4)), parity_view(first));
+            assert_eq!(parity_view(stats_at(budget, 4)), parity_view(first));
         }
     }
 
     #[test]
     fn exactly_max_states_stays_complete_in_sharded_mode() {
-        let exact = sequential_stats(Budget::new(16, 100_000)).states;
-        let seq = sequential_stats(Budget::new(16, exact));
+        let exact = stats_at(Budget::new(16, 100_000), 1).states;
+        let seq = stats_at(Budget::new(16, exact), 1);
         assert!(
             seq.complete(),
             "exactly-max spaces stay complete (PR 2 pin)"
         );
-        let shard = sharded_stats(Budget::new(16, exact), 2);
+        let shard = stats_at(Budget::new(16, exact), 2);
         assert_eq!(parity_view(shard), parity_view(seq));
-        let truncated = sharded_stats(Budget::new(16, exact - 1), 2);
+        let truncated = stats_at(Budget::new(16, exact - 1), 2);
         assert!(truncated.budget_truncated, "one fewer state must truncate");
     }
 
     #[test]
     fn zero_deadline_truncates_before_any_work() {
-        let striped = StripedDedup::new(DedupSet::exact(16), 2, 100_000);
         let mut visitors = vec![Accept, Accept];
         let mut images: Vec<SearchImage> = Vec::new();
         let mut sink = |image: &SearchImage| {
@@ -1131,22 +1032,21 @@ mod tests {
             });
             Control::Continue
         };
-        let stats = run_sharded(
-            &TwoProcessSwapConsensus,
-            cfg(0, 1),
-            &striped,
-            &ShardOptions {
-                threads: 2,
-                budget: Budget::new(16, 100_000),
-                deadline: Some(Duration::ZERO),
-            },
-            || AllRunning,
-            &mut visitors,
-            Some(Checkpointing {
-                interval: 1,
-                sink: &mut sink,
-            }),
-        );
+        let (stats, _) = Engine::new(Budget::new(16, 100_000))
+            .with_deadline(Duration::ZERO)
+            .run_min_depth(
+                &TwoProcessSwapConsensus,
+                cfg(0, 1),
+                DedupSet::exact(16),
+                || AllRunning,
+                &mut visitors,
+                None,
+                Some(Checkpointing {
+                    interval: 1,
+                    sink: &mut sink,
+                }),
+            )
+            .unwrap();
         assert_eq!(stats.states, 0, "no node may be claimed past the deadline");
         assert!(stats.deadline_truncated);
         assert!(!stats.paused);

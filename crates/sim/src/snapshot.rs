@@ -3,7 +3,7 @@
 //! A snapshot persists a [`SearchImage`] (arena + discovery order + pending
 //! frontier + stats) plus a [`RunMeta`] describing the run's parameters, so
 //! a killed process can resume with full parity
-//! ([`crate::engine::Engine::resume`]). The file format is deliberately
+//! ([`crate::engine::Engine::run_min_depth`]). The file format is deliberately
 //! paranoid — a checkpoint only matters when something already went wrong:
 //!
 //! ```text
