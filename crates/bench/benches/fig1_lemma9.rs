@@ -6,8 +6,7 @@
 //!
 //! Run: `cargo bench -p swapcons-bench --bench fig1_lemma9`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swapcons_bench::harness::render_series;
+use swapcons_bench::harness::{render_series, time_row};
 use swapcons_core::pairs::PairsKSet;
 use swapcons_core::SwapKSet;
 use swapcons_lower::lemma9;
@@ -64,20 +63,14 @@ fn print_series() {
     println!();
 }
 
-fn bench_adversary(c: &mut Criterion) {
+fn main() {
     print_series();
-    let mut group = c.benchmark_group("fig1/lemma9_adversary");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for n in [4usize, 8, 16, 32] {
         let p = SwapKSet::consensus(n, 2);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| lemma9::theorem10_consensus_witness(&p, p.solo_step_bound()).unwrap())
+        time_row(&format!("fig1/lemma9_adversary/{n}"), || {
+            lemma9::theorem10_consensus_witness(&p, p.solo_step_bound())
+                .unwrap()
+                .total_steps
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_adversary);
-criterion_main!(benches);

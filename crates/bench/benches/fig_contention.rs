@@ -7,8 +7,7 @@
 //!
 //! Run: `cargo bench -p swapcons-bench --bench fig_contention`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swapcons_bench::harness::cyclic_inputs;
+use swapcons_bench::harness::{cyclic_inputs, time_row};
 use swapcons_core::threaded::{ThreadedKSet, ThreadedPairs};
 
 fn check_kset(inputs: &[u64], decisions: &[u64], k: usize) {
@@ -19,45 +18,37 @@ fn check_kset(inputs: &[u64], decisions: &[u64], k: usize) {
     }
 }
 
-fn bench_threads(c: &mut Criterion) {
+fn main() {
     println!("\n====== threaded Algorithm 1: time for all n threads to decide ======");
-    let mut group = c.benchmark_group("fig_contention/threaded");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for n in [2usize, 4, 8] {
         let inputs = cyclic_inputs(n, 2);
-        group.bench_with_input(BenchmarkId::new("algorithm1_consensus", n), &n, |b, &n| {
-            b.iter(|| {
-                let alg = ThreadedKSet::new(n, 1, 2);
-                let decisions = alg.run(&inputs);
+        time_row(
+            &format!("fig_contention/threaded/algorithm1_consensus/{n}"),
+            || {
+                let decisions = ThreadedKSet::new(n, 1, 2).run(&inputs);
                 check_kset(&inputs, &decisions, 1);
-                decisions
-            })
-        });
+                decisions.len()
+            },
+        );
     }
     for n in [4usize, 8] {
         let k = n / 2;
         let inputs = cyclic_inputs(n, (k + 1) as u64);
-        group.bench_with_input(BenchmarkId::new("algorithm1_kset_k=n/2", n), &n, |b, &n| {
-            b.iter(|| {
-                let alg = ThreadedKSet::new(n, k, (k + 1) as u64);
-                let decisions = alg.run(&inputs);
+        time_row(
+            &format!("fig_contention/threaded/algorithm1_kset_k=n/2/{n}"),
+            || {
+                let decisions = ThreadedKSet::new(n, k, (k + 1) as u64).run(&inputs);
                 check_kset(&inputs, &decisions, k);
-                decisions
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("pairs_wait_free", n), &n, |b, &n| {
-            b.iter(|| {
-                let alg = ThreadedPairs::new(n, k);
-                let decisions = alg.run(&inputs);
+                decisions.len()
+            },
+        );
+        time_row(
+            &format!("fig_contention/threaded/pairs_wait_free/{n}"),
+            || {
+                let decisions = ThreadedPairs::new(n, k).run(&inputs);
                 check_kset(&inputs, &decisions, k);
-                decisions
-            })
-        });
+                decisions.len()
+            },
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_threads);
-criterion_main!(benches);

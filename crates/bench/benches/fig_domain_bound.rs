@@ -7,9 +7,8 @@
 //!
 //! Run: `cargo bench -p swapcons-bench --bench fig_domain_bound`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use swapcons_baselines::BinaryRacing;
-use swapcons_bench::harness::{cyclic_inputs, decide_all, render_series};
+use swapcons_bench::harness::{cyclic_inputs, decide_all, render_series, time_row};
 use swapcons_lower::Table1Row;
 use swapcons_sim::Protocol;
 
@@ -59,25 +58,15 @@ fn print_curves() {
     );
 }
 
-fn bench_binary(c: &mut Criterion) {
+fn main() {
     print_curves();
-    let mut group = c.benchmark_group("fig_domain/binary_racing_decide");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for n in [2usize, 3, 4] {
         let p = BinaryRacing::new(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let (steps, decisions) =
-                    decide_all(&p, &cyclic_inputs(n, 2), 3 * n, 5, p.solo_step_bound());
-                assert!(p.task().check(&cyclic_inputs(n, 2), &decisions).is_ok());
-                steps
-            })
+        let inputs = cyclic_inputs(n, 2);
+        time_row(&format!("fig_domain/binary_racing_decide/{n}"), || {
+            let (steps, decisions) = decide_all(&p, &inputs, 3 * n, 5, p.solo_step_bound());
+            assert!(p.task().check(&inputs, &decisions).is_ok());
+            steps
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_binary);
-criterion_main!(benches);

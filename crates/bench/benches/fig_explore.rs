@@ -18,19 +18,19 @@
 //! measurement box is a shared single-core VM, so minimum-of-N is the
 //! stable statistic); EXPERIMENTS.md records the trajectory across PRs.
 //!
-//! This target doubles as the CI consistency gate: it asserts — in `--test`
-//! mode too — that reduced and full searches reach identical verdicts on
+//! This target doubles as the CI consistency gate: it asserts that
+//! reduced and full searches reach identical verdicts on
 //! the n=2 protocol zoo, so a broken symmetry declaration fails the bench
 //! smoke, not just unit tests.
 //!
 //! Run: `cargo bench -p swapcons-bench --bench fig_explore`
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use swapcons_baselines::{BinaryRacing, CommitAdoptConsensus, ReadableRacing};
-use swapcons_bench::harness::{bench_artifact_dir, render_series, write_series_artifact};
+use swapcons_bench::harness::{
+    bench_artifact_dir, best_of_3, render_series, time_row, write_series_artifact,
+};
 use swapcons_core::pairs::PairsKSet;
 use swapcons_core::{OneBitSwapConsensus, SwapKSet};
 use swapcons_lower::lemma9::searched_solo_pressure;
@@ -55,20 +55,6 @@ fn write_bench_artifact(name: &str, content: &str) {
             dir.display()
         ),
     }
-}
-
-/// Best-of-3 wall clock (after one untimed warm-up) for `run`, which
-/// returns the number of states (or stages) it processed.
-fn best_of_3(mut run: impl FnMut() -> usize) -> (usize, f64) {
-    let count = run(); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let c = run();
-        best = best.min(start.elapsed().as_secs_f64());
-        assert_eq!(c, count, "deterministic workload");
-    }
-    (count, best)
 }
 
 /// One full-vs-reduced model-check row: assert identical verdicts, print
@@ -702,48 +688,25 @@ fn print_series() {
     );
 }
 
-fn bench_explore(c: &mut Criterion) {
+fn main() {
     print_series();
-    let mut group = c.benchmark_group("fig_explore");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.bench_function("model_check/alg1_n2_all_inputs", |b| {
-        let p = SwapKSet::consensus(2, 2);
-        let checker = ModelChecker::new(30, 200_000);
-        b.iter(|| {
-            let report = checker.check_all_inputs(&p);
-            assert!(report.passed());
-            report.states
-        })
-    });
-    group.bench_function("model_check/alg1_n3_depth14", |b| {
-        let p = SwapKSet::consensus(3, 2);
-        let checker = ModelChecker::new(14, 2_000_000);
-        b.iter(|| {
+    // The n=2 all-inputs and Lemma 16 workloads are timed (and asserted)
+    // in the series above; the shallower n=3 checks are timed here.
+    let p = SwapKSet::consensus(3, 2);
+    for (id, checker) in [
+        (
+            "fig_explore/model_check/alg1_n3_depth14",
+            ModelChecker::new(14, 2_000_000),
+        ),
+        (
+            "fig_explore/model_check/alg1_n3_depth14_reduced",
+            ModelChecker::new(14, 2_000_000).with_symmetry_reduction(),
+        ),
+    ] {
+        time_row(id, || {
             let report = checker.check(&p, &[0, 1, 1]);
-            assert!(report.passed());
+            assert!(report.passed(), "{report}");
             report.states
-        })
-    });
-    group.bench_function("model_check/alg1_n3_depth14_reduced", |b| {
-        let p = SwapKSet::consensus(3, 2);
-        let checker = ModelChecker::new(14, 2_000_000).with_symmetry_reduction();
-        b.iter(|| {
-            let report = checker.check(&p, &[0, 1, 1]);
-            assert!(report.passed());
-            report.states
-        })
-    });
-    group.bench_function("section5/lemma16_n3", |b| {
-        let p = BinaryRacing::with_track_len(3, 8);
-        b.iter(|| {
-            let report = lemma16_driver(&p, &[0, 1, 0], &Budgets::small());
-            assert!(report.complete());
-            report.stages.len()
-        })
-    });
-    group.finish();
+        });
+    }
 }
-
-criterion_group!(benches, bench_explore);
-criterion_main!(benches);

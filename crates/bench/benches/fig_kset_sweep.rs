@@ -8,9 +8,8 @@
 //!
 //! Run: `cargo bench -p swapcons-bench --bench fig_kset_sweep`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use swapcons_baselines::RegisterKSet;
-use swapcons_bench::harness::{cyclic_inputs, decide_all, try_decide_all};
+use swapcons_bench::harness::{cyclic_inputs, decide_all, time_row, try_decide_all};
 use swapcons_core::pairs::PairsKSet;
 use swapcons_core::SwapKSet;
 use swapcons_lower::Table1Row;
@@ -65,26 +64,19 @@ fn print_sweep() {
     println!();
 }
 
-fn bench_sweep(c: &mut Criterion) {
+fn main() {
     print_sweep();
     let n = 12usize;
-    let mut group = c.benchmark_group("fig_kset/decide_all_n12");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for k in [1usize, 2, 4, 8] {
         let m = (k + 1) as u64;
+        let inputs = cyclic_inputs(n, m);
         let p = SwapKSet::new(n, k, m);
-        group.bench_with_input(BenchmarkId::new("algorithm1", k), &k, |b, _| {
-            b.iter(|| decide_all(&p, &cyclic_inputs(n, m), 5 * n, 3, p.solo_step_bound()))
+        time_row(&format!("fig_kset/decide_all_n12/algorithm1/{k}"), || {
+            decide_all(&p, &inputs, 5 * n, 3, p.solo_step_bound()).0
         });
         let r = RegisterKSet::new(n, k, m);
-        group.bench_with_input(BenchmarkId::new("registers", k), &k, |b, _| {
-            b.iter(|| decide_all(&r, &cyclic_inputs(n, m), 5 * n, 3, r.solo_step_bound()))
+        time_row(&format!("fig_kset/decide_all_n12/registers/{k}"), || {
+            decide_all(&r, &inputs, 5 * n, 3, r.solo_step_bound()).0
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_sweep);
-criterion_main!(benches);

@@ -7,8 +7,8 @@
 //!
 //! Run: `cargo bench -p swapcons-bench --bench fig_section5`
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use swapcons_baselines::BinaryRacing;
+use swapcons_bench::harness::time_row;
 use swapcons_lower::section5::{self, Budgets};
 
 fn print_constructions() {
@@ -84,21 +84,17 @@ fn print_constructions() {
     println!();
 }
 
-fn bench_drivers(c: &mut Criterion) {
+fn main() {
     print_constructions();
-    let mut group = c.benchmark_group("fig_section5");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     let p = BinaryRacing::with_track_len(3, 8);
-    group.bench_function("lemma16_n3", |b| {
-        b.iter(|| section5::lemma16_driver(&p, &[0, 1, 0], &Budgets::small()))
+    time_row("fig_section5/lemma16_n3", || {
+        section5::lemma16_driver(&p, &[0, 1, 0], &Budgets::small())
+            .stages
+            .len()
     });
-    group.bench_function("lemma20_n3", |b| {
-        b.iter(|| section5::lemma20_driver(&p, &[0, 1, 0], &Budgets::small()))
+    time_row("fig_section5/lemma20_n3", || {
+        section5::lemma20_driver(&p, &[0, 1, 0], &Budgets::small())
+            .stages
+            .len()
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_drivers);
-criterion_main!(benches);

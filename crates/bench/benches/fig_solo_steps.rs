@@ -5,8 +5,7 @@
 //!
 //! Run: `cargo bench -p swapcons-bench --bench fig_solo_steps`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swapcons_bench::harness::{cyclic_inputs, render_series, try_max_solo_steps};
+use swapcons_bench::harness::{cyclic_inputs, render_series, time_row, try_max_solo_steps};
 use swapcons_core::SwapKSet;
 use swapcons_sim::{Configuration, ProcessId};
 
@@ -67,29 +66,20 @@ fn print_series() {
     println!();
 }
 
-fn bench_solo(c: &mut Criterion) {
+fn main() {
     print_series();
-    let mut group = c.benchmark_group("fig_solo/solo_run");
-    group.sample_size(30);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for n in [4usize, 16, 64] {
         let p = SwapKSet::consensus(n, 2);
         let config = Configuration::initial(&p, &cyclic_inputs(n, 2)).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                swapcons_sim::runner::solo_run_cloned(
-                    &p,
-                    &config,
-                    ProcessId(0),
-                    p.solo_step_bound(),
-                )
-                .unwrap()
-            })
+        time_row(&format!("fig_solo/solo_run/{n}"), || {
+            let (out, _) = swapcons_sim::runner::solo_run_cloned(
+                &p,
+                &config,
+                ProcessId(0),
+                p.solo_step_bound(),
+            )
+            .unwrap();
+            out.steps
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_solo);
-criterion_main!(benches);

@@ -5,9 +5,8 @@
 //!
 //! Run: `cargo bench -p swapcons-bench --bench table1`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use swapcons_baselines::{CommitAdoptConsensus, ReadableRacing};
-use swapcons_bench::harness::{cyclic_inputs, decide_all};
+use swapcons_bench::harness::{cyclic_inputs, decide_all, time_row};
 use swapcons_core::SwapKSet;
 use swapcons_lower::table1;
 
@@ -25,56 +24,23 @@ fn print_table1() {
     println!("cross-check: no implementation beats any paper lower bound ✓\n");
 }
 
-fn bench_row_witnesses(c: &mut Criterion) {
+fn main() {
     print_table1();
-    let mut group = c.benchmark_group("table1/decide_all");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for n in [4usize, 8, 16] {
+        let inputs = cyclic_inputs(n, 2);
         let swap = SwapKSet::consensus(n, 2);
-        group.bench_with_input(BenchmarkId::new("consensus_swap", n), &n, |b, _| {
-            b.iter(|| {
-                decide_all(
-                    &swap,
-                    &cyclic_inputs(n, 2),
-                    4 * n,
-                    11,
-                    swap.solo_step_bound(),
-                )
-            })
+        time_row(&format!("table1/decide_all/consensus_swap/{n}"), || {
+            decide_all(&swap, &inputs, 4 * n, 11, swap.solo_step_bound()).0
         });
         let regs = CommitAdoptConsensus::new(n, 2);
-        group.bench_with_input(BenchmarkId::new("consensus_registers", n), &n, |b, _| {
-            b.iter(|| {
-                decide_all(
-                    &regs,
-                    &cyclic_inputs(n, 2),
-                    4 * n,
-                    11,
-                    regs.solo_step_bound(),
-                )
-            })
-        });
+        time_row(
+            &format!("table1/decide_all/consensus_registers/{n}"),
+            || decide_all(&regs, &inputs, 4 * n, 11, regs.solo_step_bound()).0,
+        );
         let readable = ReadableRacing::new(n, 2);
-        group.bench_with_input(
-            BenchmarkId::new("consensus_readable_swap", n),
-            &n,
-            |b, _| {
-                b.iter(|| {
-                    decide_all(
-                        &readable,
-                        &cyclic_inputs(n, 2),
-                        4 * n,
-                        11,
-                        readable.solo_step_bound(),
-                    )
-                })
-            },
+        time_row(
+            &format!("table1/decide_all/consensus_readable_swap/{n}"),
+            || decide_all(&readable, &inputs, 4 * n, 11, readable.solo_step_bound()).0,
         );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_row_witnesses);
-criterion_main!(benches);

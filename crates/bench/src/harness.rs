@@ -1,9 +1,14 @@
-//! Shared helpers for the benchmark targets: canonical workloads and
-//! plain-text series rendering (every bench prints the table/figure data it
-//! regenerates, so `cargo bench` output is the artifact recorded in
-//! EXPERIMENTS.md).
+//! Shared helpers for the benchmark targets: canonical workloads, the
+//! best-of-3 timer and plain-text series rendering (every bench prints the
+//! table/figure data it regenerates, so `cargo bench` output is the
+//! artifact recorded in EXPERIMENTS.md).
+//!
+//! Each target is a plain `fn main()` (`harness = false`) that ignores its
+//! command-line arguments, so `cargo bench -- --test` runs the same thing
+//! as `cargo bench`.
 
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use swapcons_sim::runner::SoloRunError;
 use swapcons_sim::{Configuration, ProcessId, Protocol, SimError};
@@ -162,6 +167,32 @@ pub fn max_solo_steps<P: Protocol>(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// Best-of-3 wall clock in seconds (after one untimed warm-up) for `run`,
+/// which returns the number of states (or stages, or steps) it processed.
+///
+/// # Panics
+///
+/// Panics if `run` returns a different count on a later run: every
+/// workload timed here is deterministic.
+pub fn best_of_3(mut run: impl FnMut() -> usize) -> (usize, f64) {
+    let count = run(); // warm-up
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        let c = run();
+        best = best.min(start.elapsed().as_secs_f64());
+        assert_eq!(c, count, "deterministic workload");
+    }
+    (count, best)
+}
+
+/// Time `run` with [`best_of_3`] and print one row: `id`, the best wall
+/// clock and the count `run` returned.
+pub fn time_row(id: &str, run: impl FnMut() -> usize) {
+    let (count, secs) = best_of_3(run);
+    println!("{id:<60} best of 3 {:>10.3} ms (count {count})", secs * 1e3);
+}
+
 /// Render a two-column data series as aligned text, with a title line —
 /// the "figure" format the benches print.
 pub fn render_series(title: &str, x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {
@@ -278,6 +309,27 @@ mod tests {
         let path = write_series_artifact(&dir, "series.txt", "# data\n1 2\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "# data\n1 2\n");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn best_of_3_warms_up_then_times_three_runs() {
+        let mut runs = 0;
+        let (count, secs) = best_of_3(|| {
+            runs += 1;
+            7
+        });
+        assert_eq!((count, runs), (7, 4));
+        assert!(secs.is_finite() && secs >= 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "deterministic workload")]
+    fn best_of_3_rejects_a_changing_count() {
+        let mut runs = 0;
+        best_of_3(|| {
+            runs += 1;
+            runs
+        });
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use swapcons_sim::{ProcessId, SimValue};
 
 /// Components held inline (no heap allocation) — covers every realistic
@@ -22,7 +21,7 @@ const LAP_INLINE: usize = 8;
 /// same variant — so equality and hashing go through the slice view. (A
 /// smaller inline variant for `m ≤ 4` would buy nothing: the enum is sized
 /// by its largest variant.)
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum LapStore {
     /// `m ≤ LAP_INLINE` components, stored inline.
     Inline {
@@ -54,7 +53,7 @@ enum LapStore {
 /// u.increment(1);
 /// assert!(u.leads_by(1, 2));   // line 16's decision condition
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct LapVec {
     laps: LapStore,
 }
@@ -252,7 +251,7 @@ impl fmt::Debug for LapVec {
 /// The value stored in each of Algorithm 1's swap objects: a lap counter
 /// plus the identifier of the last swapper — the paper's `⟨U, p⟩`, with
 /// `id = None` playing the role of the initial `⊥`.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct SwapEntry {
     /// The lap-counter field (an array of `m` values, all initially 0).
     pub laps: LapVec,

@@ -12,8 +12,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An operation on a historyless object.
 ///
 /// Following Section 2 of the paper, an operation is *trivial* if it can
@@ -37,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(HistorylessOp::Write(9u64).next_value(&4), Some(9));
 /// assert_eq!(HistorylessOp::<u64>::Read.next_value(&4), None);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub enum HistorylessOp<V> {
     /// Trivial operation: return the current value, leave it unchanged.
     Read,
@@ -162,7 +160,7 @@ impl<V: fmt::Debug> fmt::Debug for HistorylessOp<V> {
 /// assert!(ObjectOp::MaxWrite(5u64).as_historyless().is_none());
 /// assert!(ObjectOp::<u64>::MaxRead.is_trivial());
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub enum ObjectOp<V> {
     /// An operation from the historyless fragment (read / write / swap).
     Historyless(HistorylessOp<V>),
@@ -281,7 +279,7 @@ impl<V: fmt::Debug> fmt::Debug for ObjectOp<V> {
 
 /// The discriminant of an [`ObjectOp`], used for capability checks in
 /// [`crate::ObjectSchema::permits_kind`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A trivial read.
     Read,
@@ -344,7 +342,7 @@ impl fmt::Display for OpKind {
 /// [`Response::to_write`], [`Response::to_read`], [`Response::to_swap`],
 /// [`Response::to_test_and_set`], [`Response::to_max_write`],
 /// [`Response::to_max_read`].
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub enum Response<V> {
     /// Acknowledgement of a write or max-write; carries no information.
     Ack,

@@ -12,12 +12,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::OpKind;
 
 /// The kind of historyless object, determining which operations it supports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ObjectKind {
     /// Supports `Read` and `Write` (trivial + nontrivial).
     Register,
@@ -104,7 +102,7 @@ impl fmt::Display for ObjectKind {
 /// Theorem 22's lower bound is parameterized by the domain size `b`; Table 1
 /// distinguishes readable swap objects with domain size 2, domain size `b`,
 /// and unbounded domain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Values range over `{0, …, size-1}` (for integer-valued objects).
     Bounded(u64),
@@ -158,7 +156,7 @@ impl fmt::Display for Domain {
 /// let swap_only = ObjectSchema::swap();
 /// assert!(!swap_only.permits_kind(OpKind::Read));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ObjectSchema {
     kind: ObjectKind,
     domain: Domain,

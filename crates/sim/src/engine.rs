@@ -11,7 +11,7 @@
 //! generating candidate children on a recycled scratch configuration with
 //! [`step_quiet_undoable`](crate::Configuration::step_quiet_undoable) /
 //! [`undo_step`](crate::Configuration::undo_step) delta-restore, and
-//! enforcing exact depth/state/frontier budgets with a uniform
+//! enforcing exact depth and state budgets with a uniform
 //! completeness verdict ([`SearchStats::complete`]).
 //!
 //! The engine is parameterized by two strategies:
@@ -102,20 +102,14 @@ pub struct Budget {
     /// Maximum number of distinct configurations (orbits, under reduction)
     /// discovered.
     pub max_states: usize,
-    /// Maximum pending-frontier size; exceeding it drops would-be children
-    /// and marks the search incomplete, bounding memory even when
-    /// `max_states` alone would not.
-    pub max_frontier: usize,
 }
 
 impl Budget {
-    /// A budget with the given depth and state bounds and an unbounded
-    /// frontier.
+    /// A budget with the given depth and state bounds.
     pub fn new(max_depth: usize, max_states: usize) -> Self {
         Budget {
             max_depth,
             max_states,
-            max_frontier: usize::MAX,
         }
     }
 }
@@ -136,8 +130,8 @@ pub struct SearchStats {
     /// A node with expansion candidates sat at the depth horizon: deeper
     /// schedules exist but were not explored.
     pub depth_truncated: bool,
-    /// A genuinely new configuration was discarded because the state or
-    /// frontier budget was exhausted (or a step error was skipped).
+    /// A genuinely new configuration was discarded because the state
+    /// budget was exhausted (or a step error was skipped).
     pub budget_truncated: bool,
     /// The wall-clock deadline ([`Engine::with_deadline`]) expired with
     /// work still pending. Unlike `budget_truncated` this is recoverable:
@@ -163,7 +157,7 @@ impl SearchStats {
         }
     }
 
-    /// `true` if no depth/state/frontier cutoff (or skipped step error)
+    /// `true` if no depth or state cutoff (or skipped step error)
     /// discarded work and no deadline or pause interrupted the run: the
     /// search covered the whole reachable space.
     pub fn complete(&self) -> bool {
@@ -907,9 +901,7 @@ impl<P: Protocol> Seam<P> for Inline<P> {
     }
 
     fn insert(&mut self, protocol: &P, child: &Configuration<P>) -> StripedInsert {
-        if self.dedup.len() >= self.budget.max_states
-            || self.queue.len() >= self.budget.max_frontier
-        {
+        if self.dedup.len() >= self.budget.max_states {
             return if self.dedup.contains(protocol, child) {
                 StripedInsert::BudgetDuplicate
             } else {
@@ -983,7 +975,7 @@ pub struct SynthesisReport<P: Protocol> {
     pub states: usize,
     /// Whether the whole depth-bounded space was covered — every
     /// configuration within the depth bound was scored, so `best_score` is
-    /// the true depth-bounded maximum. `false` means a state/frontier
+    /// the true depth-bounded maximum. `false` means the state
     /// budget (or a skipped step error) truncated the search, so a better
     /// schedule may exist within the depth bound.
     pub complete: bool,
@@ -1102,7 +1094,7 @@ impl AdversarySynthesis {
             config,
             states,
             // The depth horizon *defines* a synthesis search (racing
-            // protocols are unbounded); only a state/frontier budget — or
+            // protocols are unbounded); only a state budget — or
             // a skipped step error — genuinely truncates it.
             complete: !stats.budget_truncated,
             deepest: stats.deepest,

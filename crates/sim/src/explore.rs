@@ -58,10 +58,6 @@ pub struct ModelChecker {
     pub max_depth: usize,
     /// Maximum number of distinct configurations visited.
     pub max_states: usize,
-    /// Maximum pending-frontier (queue) size; exceeding it drops the
-    /// would-be children and marks the report incomplete, bounding memory
-    /// even when `max_states` alone would not.
-    pub max_frontier: usize,
     /// If set, verify from every visited configuration that every running
     /// process decides within this many solo steps (obstruction-freedom).
     pub solo_budget: Option<usize>,
@@ -94,7 +90,7 @@ pub struct ModelChecker {
     /// Worker threads for the safety sweep. `1` (the default) runs the
     /// engine inline; `t > 1` runs the work-stealing sharded driver
     /// ([`crate::shard`]). Both discover every configuration at its minimum
-    /// depth, so while no state or frontier budget binds the report is the
+    /// depth, so while no state budget binds the report is the
     /// same at every thread count — verdict, state counts, `deepest`, and
     /// completeness, bounded searches included (`peak_frontier` excepted),
     /// in exact and symmetry-reduced modes. Resumed legs always run inline
@@ -104,13 +100,12 @@ pub struct ModelChecker {
 }
 
 impl ModelChecker {
-    /// A checker with the given depth and state bounds, an unbounded
-    /// frontier, and no solo checking.
+    /// A checker with the given depth and state bounds and no solo
+    /// checking.
     pub fn new(max_depth: usize, max_states: usize) -> Self {
         ModelChecker {
             max_depth,
             max_states,
-            max_frontier: usize::MAX,
             solo_budget: None,
             symmetry_reduction: false,
             solo_memo: true,
@@ -125,14 +120,6 @@ impl ModelChecker {
     /// per-run step budget.
     pub fn with_solo_budget(mut self, budget: usize) -> Self {
         self.solo_budget = Some(budget);
-        self
-    }
-
-    /// Bound the frontier: at most `frontier` configurations pending at
-    /// once. Searches that hit the bound degrade predictably — they finish
-    /// with `complete == false` instead of growing memory without limit.
-    pub fn with_frontier_budget(mut self, frontier: usize) -> Self {
-        self.max_frontier = frontier;
         self
     }
 
@@ -249,11 +236,7 @@ impl ModelChecker {
             DedupSet::exact(capacity)
         };
         let (symmetry_group, symmetry_degraded) = (dedup.group_order(), dedup.degraded());
-        let mut engine = Engine::new(Budget {
-            max_depth: self.max_depth,
-            max_states: self.max_states,
-            max_frontier: self.max_frontier,
-        });
+        let mut engine = Engine::new(Budget::new(self.max_depth, self.max_states));
         if let Some(deadline) = self.deadline {
             engine = engine.with_deadline(deadline);
         }
@@ -840,7 +823,7 @@ pub struct CheckReport {
     pub states: usize,
     /// Configurations in which every process has decided.
     pub terminal_states: usize,
-    /// `true` if no depth/state/frontier cutoff discarded work: the search
+    /// `true` if no depth or state cutoff discarded work: the search
     /// was exhaustive. Draining the stack *exactly* at the state budget
     /// without skipping anything still counts as exhaustive.
     pub complete: bool,
@@ -1201,25 +1184,6 @@ mod tests {
         let under = ModelChecker::new(10, full.states - 1).check(&TwoProcessSwapConsensus, &[0, 1]);
         assert!(!under.complete, "{under}");
         assert!(under.states < full.states);
-    }
-
-    #[test]
-    fn frontier_budget_degrades_predictably() {
-        let unbounded = ModelChecker::new(10, 10_000).check(&TwoProcessSwapConsensus, &[0, 1]);
-        assert!(unbounded.peak_frontier >= 2, "{unbounded}");
-        // A frontier of 1 cannot hold both children of the initial
-        // configuration: the search must finish, report incomplete, and
-        // respect the bound.
-        let bounded = ModelChecker::new(10, 10_000)
-            .with_frontier_budget(1)
-            .check(&TwoProcessSwapConsensus, &[0, 1]);
-        assert!(bounded.passed());
-        assert!(
-            !bounded.complete,
-            "dropped frontier entries must be reported"
-        );
-        assert!(bounded.peak_frontier <= 1, "{bounded}");
-        assert!(bounded.states < unbounded.states);
     }
 
     #[test]

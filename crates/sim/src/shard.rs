@@ -32,7 +32,7 @@
 //!   with them `states`, `terminal_states`, `deepest`, and the truncation
 //!   flags of [`SearchStats`], are reproducible run to run;
 //! * the inline one-worker run (a FIFO queue) discovers the same min-depth
-//!   sets, so while no state or frontier budget binds those counters equal
+//!   sets, so while no state budget binds those counters equal
 //!   the t=1 report exactly — complete and depth-bounded searches alike;
 //! * a checkpoint drained mid-run (see below) resumes — inline, FIFO —
 //!   to the byte-identical report of the uninterrupted run.
@@ -689,15 +689,7 @@ impl<P: Protocol> Seam<P> for WorkerSeam<'_, '_, P> {
     }
 
     fn insert(&mut self, protocol: &P, child: &Configuration<P>) -> StripedInsert {
-        let shared = self.shared;
-        if shared.in_frontier.load(Ordering::SeqCst) >= shared.budget.max_frontier {
-            return if shared.dedup.contains(protocol, child) {
-                StripedInsert::BudgetDuplicate
-            } else {
-                StripedInsert::BudgetNew
-            };
-        }
-        shared.dedup.insert(protocol, child)
+        self.shared.dedup.insert(protocol, child)
     }
 
     fn keep(&mut self, parent: GNode, action: Action, depth: usize, child: Configuration<P>) {

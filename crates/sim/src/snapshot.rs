@@ -36,7 +36,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use serde::bin::{Decode, DecodeError, Encode, Reader};
+use codec::{Decode, DecodeError, Encode, Reader};
 
 use crate::engine::{SearchImage, SearchStats};
 use crate::search::{NodeId, ScheduleArena};
@@ -348,6 +348,163 @@ pub fn read_snapshot(path: &Path) -> Result<(RunMeta, SearchImage), SnapshotErro
     from_snapshot_bytes(&bytes)
 }
 
+/// The payload's binary encoding: little-endian fixed-width integers,
+/// `usize` as `u64`, `bool` as one `0`/`1` byte, strings and vectors behind
+/// a `u64` length prefix. Versioned by [`FORMAT_VERSION`].
+mod codec {
+    /// Decoding failure.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum DecodeError {
+        /// Input ended mid-value.
+        UnexpectedEof,
+        /// A value was structurally invalid (bad bool tag, non-UTF-8
+        /// string, length overflow).
+        Invalid,
+    }
+
+    impl std::fmt::Display for DecodeError {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            match self {
+                DecodeError::UnexpectedEof => write!(f, "unexpected end of input"),
+                DecodeError::Invalid => write!(f, "structurally invalid value"),
+            }
+        }
+    }
+
+    /// Cursor over a byte slice being decoded.
+    pub struct Reader<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Reader<'a> {
+        /// A reader at the start of `bytes`.
+        pub fn new(bytes: &'a [u8]) -> Self {
+            Reader { bytes, pos: 0 }
+        }
+
+        /// Bytes not yet consumed.
+        pub fn remaining(&self) -> usize {
+            self.bytes.len() - self.pos
+        }
+
+        /// Consume exactly `n` bytes.
+        fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+            if self.remaining() < n {
+                return Err(DecodeError::UnexpectedEof);
+            }
+            let out = &self.bytes[self.pos..self.pos + n];
+            self.pos += n;
+            Ok(out)
+        }
+    }
+
+    /// Types encodable to the payload format.
+    pub trait Encode {
+        /// Append this value's encoding to `out`.
+        fn encode(&self, out: &mut Vec<u8>);
+    }
+
+    /// Types decodable from the payload format.
+    pub trait Decode: Sized {
+        /// Decode one value, advancing the reader.
+        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+    }
+
+    impl Encode for u32 {
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+    }
+
+    impl Decode for u32 {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            Ok(u32::from_le_bytes(r.take(4)?.try_into().unwrap()))
+        }
+    }
+
+    impl Encode for u64 {
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+    }
+
+    impl Decode for u64 {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            Ok(u64::from_le_bytes(r.take(8)?.try_into().unwrap()))
+        }
+    }
+
+    impl Encode for usize {
+        fn encode(&self, out: &mut Vec<u8>) {
+            (*self as u64).encode(out);
+        }
+    }
+
+    impl Decode for usize {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            usize::try_from(u64::decode(r)?).map_err(|_| DecodeError::Invalid)
+        }
+    }
+
+    impl Encode for bool {
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.push(u8::from(*self));
+        }
+    }
+
+    impl Decode for bool {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            match r.take(1)?[0] {
+                0 => Ok(false),
+                1 => Ok(true),
+                _ => Err(DecodeError::Invalid),
+            }
+        }
+    }
+
+    impl Encode for String {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.len().encode(out);
+            out.extend_from_slice(self.as_bytes());
+        }
+    }
+
+    impl Decode for String {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            let len = usize::decode(r)?;
+            let bytes = r.take(len)?;
+            String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Invalid)
+        }
+    }
+
+    impl<T: Encode> Encode for Vec<T> {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.len().encode(out);
+            for item in self {
+                item.encode(out);
+            }
+        }
+    }
+
+    impl<T: Decode> Decode for Vec<T> {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            let len = usize::decode(r)?;
+            // Guard against adversarial length prefixes: never pre-reserve
+            // more than the input could possibly hold (each element needs at
+            // least one byte).
+            if len > r.remaining() {
+                return Err(DecodeError::Invalid);
+            }
+            let mut out = Vec::with_capacity(len);
+            for _ in 0..len {
+                out.push(T::decode(r)?);
+            }
+            Ok(out)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,6 +560,52 @@ mod tests {
             image.arena.actions(NodeId::from_raw(1)),
             vec![Action::Step(ProcessId(0)), Action::Crash(ProcessId(1)),]
         );
+    }
+
+    /// The format of `sample_meta` + `sample_image`, byte for byte. A
+    /// change to any byte here is a format change and needs a
+    /// [`FORMAT_VERSION`] bump.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        #[rustfmt::skip]
+        let golden: &[&[u8]] = &[
+            // Header: magic, version 1, payload length 201, fxhash64(payload).
+            b"SWCK", &[1, 0, 0, 0],
+            &[201, 0, 0, 0, 0, 0, 0, 0],
+            &[155, 241, 80, 66, 236, 122, 139, 51],
+            // RunMeta: protocol name (length-prefixed).
+            &[19, 0, 0, 0, 0, 0, 0, 0], b"pairs-kset(n=4,k=2)",
+            // Inputs [3, 1, 4, 1] (length-prefixed u64s).
+            &[4, 0, 0, 0, 0, 0, 0, 0],
+            &[3, 0, 0, 0, 0, 0, 0, 0], &[1, 0, 0, 0, 0, 0, 0, 0],
+            &[4, 0, 0, 0, 0, 0, 0, 0], &[1, 0, 0, 0, 0, 0, 0, 0],
+            // max_depth 64, max_states 100_000, symmetry_reduction true,
+            // solo_budget 32, max_failures 2.
+            &[64, 0, 0, 0, 0, 0, 0, 0], &[160, 134, 1, 0, 0, 0, 0, 0], &[1],
+            &[32, 0, 0, 0, 0, 0, 0, 0], &[2, 0, 0, 0, 0, 0, 0, 0],
+            // SearchStats: states 2, terminal 0, deepest 2, peak_frontier 3,
+            // then stopped, depth/budget/deadline truncated, paused.
+            &[2, 0, 0, 0, 0, 0, 0, 0], &[0, 0, 0, 0, 0, 0, 0, 0],
+            &[2, 0, 0, 0, 0, 0, 0, 0], &[3, 0, 0, 0, 0, 0, 0, 0],
+            &[0, 0, 0, 1, 0],
+            // Arena: 2 nodes of (parent, tagged action, depth) u32 triples —
+            // p0 steps from the root, then p1 crashes (tag bit 31).
+            &[2, 0, 0, 0, 0, 0, 0, 0],
+            &[255, 255, 255, 255], &[0, 0, 0, 0], &[1, 0, 0, 0],
+            &[0, 0, 0, 0], &[1, 0, 0, 128], &[2, 0, 0, 0],
+            // Discovery order [root, a, b], then frontier [b].
+            &[3, 0, 0, 0, 0, 0, 0, 0],
+            &[255, 255, 255, 255], &[0, 0, 0, 0], &[1, 0, 0, 0],
+            &[1, 0, 0, 0, 0, 0, 0, 0], &[1, 0, 0, 0],
+        ];
+        let golden = golden.concat();
+        assert_eq!(to_snapshot_bytes(&sample_meta(), &sample_image()), golden);
+        let (meta, image) = from_snapshot_bytes(&golden).unwrap();
+        assert_eq!(meta, sample_meta());
+        assert_eq!(image.stats, sample_image().stats);
+        assert_eq!(image.arena.raw_nodes(), sample_image().arena.raw_nodes());
+        assert_eq!(image.discovery, sample_image().discovery);
+        assert_eq!(image.frontier, sample_image().frontier);
     }
 
     #[test]

@@ -11,8 +11,6 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of an `m`-valued `k`-set agreement task for `n` processes.
 ///
 /// # Example
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(task.check(&[0, 1, 0, 1], &[Some(1), Some(1), None, Some(1)]).is_ok());
 /// assert!(task.check(&[0, 1, 0, 1], &[Some(0), Some(1), None, None]).is_err());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct KSetTask {
     /// Number of processes.
     pub n: usize,
@@ -208,7 +206,7 @@ impl fmt::Display for KSetTask {
 }
 
 /// A violated task predicate.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TaskViolation {
     /// The input vector length does not match `n`.
     WrongInputCount {

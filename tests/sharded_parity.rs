@@ -7,7 +7,7 @@
 //! FIFO frontier and the sharded waves alike — discovers each configuration
 //! at its minimum depth, so a depth-bounded search covers exactly the
 //! configurations within `max_depth` steps of the root, whatever the thread
-//! count. Wherever no state or frontier budget binds, the t=1 report and
+//! count. Wherever no state budget binds, the t=1 report and
 //! the report at every sharded thread count must therefore be identical:
 //! `states`, `terminal_states`, `deepest`, `complete`, `symmetry_group`,
 //! verdict, violation kind and witness length. Depth-bounded rows (most zoo
