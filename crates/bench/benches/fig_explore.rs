@@ -1,5 +1,7 @@
 //! E8 — **exploration throughput**: states/second for the exhaustive
-//! searches, the metric every perf PR to the exploration hot path must move.
+//! searches, the metric every perf PR to the exploration hot path must move,
+//! with the visited-state store's heap bytes per state next to it (gated on
+//! the n=3 [0,1,1] row).
 //!
 //! Workloads span the repo's verification surfaces:
 //!
@@ -57,13 +59,26 @@ fn write_bench_artifact(name: &str, content: &str) {
     }
 }
 
+/// Heap bytes per stored state of the full-mode store on the n=3 [0,1,1]
+/// depth-22 row (57,358 states), asserted on every run. The compact store
+/// keeps each configuration as five `u32` ids plus an 8-byte slot, about
+/// 45 B/state here; a store of whole configurations needs several times
+/// that.
+const MAX_STORE_BYTES_PER_STATE: f64 = 64.0;
+
+/// Heap bytes of a report's visited-state store per stored state.
+fn store_bytes_per_state(report: &CheckReport) -> f64 {
+    report.store_bytes as f64 / report.states as f64
+}
+
 /// One full-vs-reduced model-check row: assert identical verdicts, print
-/// both state counts and rates, return the pair of reports.
+/// both state counts, rates and store bytes per state; return both rates
+/// and the full run's bytes per state.
 fn reduced_row(
     label: &str,
     checker: ModelChecker,
     run: &dyn Fn(ModelChecker) -> CheckReport,
-) -> (f64, f64) {
+) -> (f64, f64, f64) {
     let (full_states, full_secs) = best_of_3(|| {
         let report = run(checker);
         assert!(report.passed(), "{report}");
@@ -83,14 +98,16 @@ fn reduced_row(
     );
     let full_rate = full_states as f64 / full_secs;
     let reduced_rate = reduced_states as f64 / reduced_secs;
+    let full_bytes = store_bytes_per_state(&full);
     println!(
-        "{label:<30} : full {full_states:>8} states {full_secs:>7.3}s ({full_rate:>10.0}/s) | \
-         reduced {reduced_states:>8} states {reduced_secs:>7.3}s ({reduced_rate:>10.0}/s) | \
-         {:.2}x fewer states, {:.2}x wall",
+        "{label:<30} : full {full_states:>8} states {full_secs:>7.3}s ({full_rate:>10.0}/s, \
+         {full_bytes:>6.1} B/state) | reduced {reduced_states:>8} states {reduced_secs:>7.3}s \
+         ({reduced_rate:>10.0}/s, {:>6.1} B/state) | {:.2}x fewer states, {:.2}x wall",
+        store_bytes_per_state(&reduced),
         full_states as f64 / reduced_states as f64,
         full_secs / reduced_secs,
     );
-    (full_rate, reduced_rate)
+    (full_rate, reduced_rate, full_bytes)
 }
 
 /// One row of the reduction-factor table the gate emits into the
@@ -598,7 +615,7 @@ fn print_series() {
     // n=2 Algorithm 1, all input vectors, no solo checking.
     {
         let p = SwapKSet::consensus(2, 2);
-        let (full_rate, _) = reduced_row(
+        let (full_rate, _, _) = reduced_row(
             "alg1 n=2 all-inputs depth=30",
             ModelChecker::new(30, 200_000),
             &|c| c.check_all_inputs(&p),
@@ -609,10 +626,15 @@ fn print_series() {
     // n=3 Algorithm 1 — THE acceptance metric for exploration perf PRs.
     {
         let p = SwapKSet::consensus(3, 2);
-        let (full_rate, _) = reduced_row(
+        let (full_rate, _, full_bytes) = reduced_row(
             "alg1 n=3 [0,1,1]   depth=22",
             ModelChecker::new(22, 2_000_000),
             &|c| c.check(&p, &[0, 1, 1]),
+        );
+        assert!(
+            full_bytes <= MAX_STORE_BYTES_PER_STATE,
+            "alg1 n=3 [0,1,1]: the visited-state store holds {full_bytes:.1} B/state, \
+             over the {MAX_STORE_BYTES_PER_STATE} B/state bound"
         );
         points.push((3.0, full_rate));
     }
@@ -620,7 +642,7 @@ fn print_series() {
     // n=3 unanimous inputs: the full S3 group — the PR 3 headline row.
     {
         let p = SwapKSet::consensus(3, 2);
-        let (_, reduced_rate) = reduced_row(
+        let (_, reduced_rate, _) = reduced_row(
             "alg1 n=3 [1,1,1]   depth=22",
             ModelChecker::new(22, 2_000_000),
             &|c| c.check(&p, &[1, 1, 1]),

@@ -318,7 +318,7 @@ impl ValencyOracle {
         if let Some(deadline) = self.deadline {
             engine = engine.with_deadline(deadline);
         }
-        let (stats, states) = engine
+        let (stats, store) = engine
             .run_min_depth(
                 protocol,
                 config.clone(),
@@ -378,7 +378,7 @@ impl ValencyOracle {
         ValencyResult {
             witnesses,
             exhaustive,
-            states,
+            states: store.states,
             symmetry_group: canon.group_order(),
             symmetry_degraded: canon.degraded(),
         }

@@ -45,7 +45,7 @@
 //! orbit) — witness schedules remain genuine, replayable schedules — and
 //! membership is *exact*: [`CanonicalVisitedSet`] keys on the orbit-minimal
 //! image key (found by a pruned stabilizer-chain search, not a full group
-//! scan) but falls back to full orbit comparison on every bucket hit,
+//! scan) but falls back to full orbit comparison on every key hit,
 //! mirroring [`VisitedSet`]'s discipline, so soundness never rests on hash
 //! quality.
 //!
@@ -63,7 +63,7 @@ use std::sync::Arc;
 use crate::config::Configuration;
 use crate::ids::{ObjectId, ProcessId};
 use crate::protocol::{Protocol, SimValue};
-use crate::search::{Bucket, PrehashedMap, VisitedSet};
+use crate::search::{StateTable, Vacancy, VisitedSet};
 use crate::ProcStatus;
 
 /// Largest renaming group [`Canonicalizer::for_inputs`] will enumerate
@@ -1008,10 +1008,13 @@ struct RenamingTables {
 ///
 /// Keys are the orbit-minimal image key — the lexicographically smallest
 /// per-slot hash sequence any group element can give the configuration (an
-/// orbit invariant), folded to a `u64`; every bucket hit falls back to full
+/// orbit invariant), folded to a `u64`; every key hit falls back to full
 /// orbit comparison, so — exactly as with [`VisitedSet`] — exactness never
-/// depends on hash quality. Stored representatives are cheap copy-on-write
-/// clones of the *real* configurations the search visited.
+/// depends on hash quality. The store is [`VisitedSet`]'s compact table
+/// under the orbit key: each stored representative is the *real*
+/// configuration the search visited first in its orbit, kept as a tuple of
+/// interned part ids, and the fallback reads its statuses and object values
+/// back through the intern tables.
 ///
 /// # The pruned minimal-image search
 ///
@@ -1028,9 +1031,9 @@ struct RenamingTables {
 /// slots, so the cost is ~|G| single-slot hashes plus a geometric tail —
 /// versus |G| *full* image fingerprints for the pre-chain scan (kept as
 /// [`CanonicalVisitedSet::orbit_key_unpruned`], the parity baseline).
-/// Renamed twins are materialized only inside the exact fallback of a
-/// *bucket hit* (a duplicate probe or a genuine collision), one renaming at
-/// a time with early exit.
+/// A *key hit* (a duplicate probe or a genuine collision) compares the
+/// stored representative with each renamed image slot by slot, one
+/// renaming at a time with early exit; no image is ever materialized.
 pub struct CanonicalVisitedSet<P: Protocol> {
     renamings: Vec<Renaming>,
     /// Whether the group is a cap- or validity-degraded subgroup of the
@@ -1042,10 +1045,8 @@ pub struct CanonicalVisitedSet<P: Protocol> {
     /// driver's one shared keyer ([`crate::shard::StripedDedup`]) computes
     /// orbit keys from every worker at once.
     tables: std::sync::OnceLock<Vec<RenamingTables>>,
-    buckets: PrehashedMap<Bucket<P>>,
-    len: usize,
+    table: StateTable<P>,
     mask: u64,
-    fallback_comparisons: usize,
 }
 
 /// Candidate id of the implicit identity renaming in the minimal-image
@@ -1069,17 +1070,15 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
             renamings: canon.renamings,
             degraded: canon.degraded,
             tables: std::sync::OnceLock::new(),
-            buckets: PrehashedMap::default(),
-            len: 0,
+            table: StateTable::with_capacity(0),
             mask: u64::MAX,
-            fallback_comparisons: 0,
         }
     }
 
     /// Pre-size for roughly `expected` orbits.
     #[must_use]
     pub fn with_capacity(mut self, expected: usize) -> Self {
-        self.buckets.reserve(expected);
+        self.table = StateTable::with_capacity(expected);
         self
     }
 
@@ -1106,10 +1105,21 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
     /// permutation (and hence the tables) depends only on the protocol and
     /// the group, both fixed for the lifetime of a set.
     fn tables(&self, protocol: &P, config: &Configuration<P>) -> &[RenamingTables] {
-        self.tables.get_or_init(|| {
+        Self::tables_of(&self.tables, &self.renamings, protocol, config)
+    }
+
+    /// [`Self::tables`] over the two fields it reads, so a caller can hold
+    /// them while it mutates the store.
+    fn tables_of<'a>(
+        tables: &'a std::sync::OnceLock<Vec<RenamingTables>>,
+        renamings: &[Renaming],
+        protocol: &P,
+        config: &Configuration<P>,
+    ) -> &'a [RenamingTables] {
+        tables.get_or_init(|| {
             let n = config.num_processes();
             let b = config.num_objects();
-            self.renamings
+            renamings
                 .iter()
                 .map(|g| {
                     let mut inv_pid = vec![usize::MAX; n];
@@ -1216,7 +1226,7 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         min
     }
 
-    /// The orbit's bucket key: the fold of the lexicographically minimal
+    /// The orbit's key: the fold of the lexicographically minimal
     /// per-slot hash sequence over the orbit (identity included), masked —
     /// an orbit invariant, computed by the pruned stabilizer-chain search
     /// (see the type-level docs) with no image materialized.
@@ -1304,24 +1314,25 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         self.orbit_key(protocol, config)
     }
 
-    /// Whether `g · config == stored`, compared slot by slot through the
-    /// inverse tables with early exit on the first mismatch — no image
-    /// materialized. Process slots go first for the same reason the chain
-    /// search walks them first: they carry the per-pid payload and reject a
-    /// wrong renaming within a slot or two, while object slots are often
-    /// identical across the whole group.
+    /// Whether `g · config` equals the stored tuple `row`, compared slot by
+    /// slot through the inverse tables and the store's intern tables with
+    /// early exit on the first mismatch — no image materialized. Process
+    /// slots go first for the same reason the chain search walks them
+    /// first: they carry the per-pid payload and reject a wrong renaming
+    /// within a slot or two, while object slots are often identical across
+    /// the whole group.
     fn renamed_eq(
         protocol: &P,
         config: &Configuration<P>,
-        stored: &Configuration<P>,
+        store: &StateTable<P>,
+        row: &[u32],
         g: &Renaming,
         t: &RenamingTables,
     ) -> bool {
         let n = config.num_processes();
-        let b = config.num_objects();
         for dst in 0..n {
             let src = ProcessId(t.inv_pid[dst]);
-            let eq = match (config.status(src), stored.status(ProcessId(dst))) {
+            let eq = match (config.status(src), store.stored_status(row, dst)) {
                 (ProcStatus::Running(s), ProcStatus::Running(d)) => {
                     &protocol.rename_state(s, g) == d
                 }
@@ -1333,41 +1344,43 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
                 return false;
             }
         }
-        for dst in 0..b {
+        let stored = store.stored_objects(row);
+        for (dst, stored) in stored.iter().enumerate() {
             let src = ObjectId(t.inv_obj[dst]);
-            if protocol.rename_value(src, config.value(src), g) != *stored.value(ObjectId(dst)) {
+            if protocol.rename_value(src, config.value(src), g) != *stored {
                 return false;
             }
         }
         true
     }
 
-    /// Whether any member of `config`'s orbit equals a stored
-    /// representative in `bucket` — the exact fallback, reached on every
-    /// bucket hit, i.e. on every duplicate successor, which makes it as hot
-    /// as the key computation itself. Each candidate renaming is tested by
-    /// [`Self::renamed_eq`]'s slot-wise early-exit comparison instead of
-    /// materializing the image: a wrong renaming costs about one rename
-    /// call, not a full configuration clone.
-    fn orbit_hits_bucket(
-        &self,
+    /// Whether some member of `config`'s orbit is the stored tuple `row` —
+    /// the exact fallback, reached on every key hit, i.e. on every
+    /// duplicate successor, which makes it as hot as the key computation
+    /// itself. `ids` is `config`'s own id tuple when all its parts are
+    /// interned (the identity test is then a tuple comparison). Each
+    /// candidate renaming is tested by [`Self::renamed_eq`]'s slot-wise
+    /// early-exit comparison: a wrong renaming costs about one rename
+    /// call.
+    #[allow(clippy::too_many_arguments)]
+    fn orbit_hits(
         protocol: &P,
-        bucket: &Bucket<P>,
         config: &Configuration<P>,
+        renamings: &[Renaming],
+        tables: &[RenamingTables],
+        store: &StateTable<P>,
+        ids: Option<&[u32]>,
+        row: &[u32],
     ) -> bool {
-        if bucket.iter().any(|stored| stored == config) {
-            return true;
-        }
-        let tables = self.tables(protocol, config);
-        self.renamings.iter().zip(tables).any(|(g, t)| {
-            bucket
+        ids == Some(row)
+            || renamings
                 .iter()
-                .any(|stored| Self::renamed_eq(protocol, config, stored, g, t))
-        })
+                .zip(tables)
+                .any(|(g, t)| Self::renamed_eq(protocol, config, store, row, g, t))
     }
 
-    /// The orbit's (masked) bucket key — exposed crate-internally so the
-    /// striped sharded set ([`crate::shard`]) can compute orbit keys through
+    /// The orbit's (masked) key — exposed crate-internally so the striped
+    /// sharded set ([`crate::shard`]) can compute orbit keys through
     /// **one** shared instance (whose lazily built `OnceLock` inverse tables
     /// are then shared read-only across workers) and route each insert to a
     /// stripe. Orbit keys are orbit invariants, so every member of an orbit
@@ -1378,54 +1391,59 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
 
     /// An empty set over the same group and mask — the stripe factory for
     /// [`crate::shard`]. The stripe keeps its own copy of the renamings for
-    /// the exact orbit fallback on bucket hits (which builds the stripe's
-    /// own inverse tables on first use); keys are still only ever computed
+    /// the exact orbit fallback on key hits (which builds the stripe's own
+    /// inverse tables on first use); keys are still only ever computed
     /// through the shared keyer.
     pub(crate) fn stripe_clone(&self) -> Self {
         CanonicalVisitedSet {
             renamings: self.renamings.clone(),
             degraded: self.degraded,
             tables: std::sync::OnceLock::new(),
-            buckets: PrehashedMap::default(),
-            len: 0,
+            table: StateTable::with_capacity(0),
             mask: self.mask,
-            fallback_comparisons: 0,
         }
     }
 
     /// Insert `config`'s orbit, returning `true` if no member of the orbit
-    /// was already present.
+    /// was already present. The first-inserted member stays the orbit's
+    /// representative.
     pub fn insert(&mut self, protocol: &P, config: &Configuration<P>) -> bool {
         let key = self.orbit_key(protocol, config);
-        self.insert_prekeyed(key, protocol, config)
+        match self.probe(key, protocol, config) {
+            None => false,
+            Some(vacancy) => {
+                self.fill(vacancy, config);
+                true
+            }
+        }
     }
 
-    /// [`CanonicalVisitedSet::insert`] with the orbit key already computed
-    /// (the sharded set computes keys through its shared keyer, outside the
-    /// stripe lock).
-    pub(crate) fn insert_prekeyed(
+    /// One probe with the orbit key already computed (the sharded set
+    /// computes keys through its shared keyer, outside the stripe lock):
+    /// `None` if a member of `config`'s orbit is present, else where
+    /// `config` goes.
+    pub(crate) fn probe(
         &mut self,
         key: u64,
         protocol: &P,
         config: &Configuration<P>,
-    ) -> bool {
-        let Some(bucket) = self.buckets.get(&key) else {
-            self.buckets.insert(key, Bucket::new(config));
-            self.len += 1;
-            return true;
-        };
-        let compared = bucket.len();
-        let hit = self.orbit_hits_bucket(protocol, bucket, config);
-        self.fallback_comparisons += compared;
-        if hit {
-            return false;
+    ) -> Option<Vacancy> {
+        let interned = self.table.lookup(config);
+        let tables = Self::tables_of(&self.tables, &self.renamings, protocol, config);
+        let renamings = &self.renamings;
+        self.table.probe(key, |store, row| {
+            let ids = interned.then(|| store.ids());
+            Self::orbit_hits(protocol, config, renamings, tables, store, ids, row)
+        })
+    }
+
+    /// Store `config`, just probed absent, as its orbit's representative.
+    pub(crate) fn fill(&mut self, vacancy: Vacancy, config: &Configuration<P>) {
+        self.table.intern_missing(config);
+        match vacancy {
+            Vacancy::Slot { slot, key } => self.table.fill(slot, key),
+            Vacancy::Unkeyed => unreachable!("orbit probes are always keyed"),
         }
-        self.buckets
-            .get_mut(&key)
-            .expect("bucket exists")
-            .push(config);
-        self.len += 1;
-        true
     }
 
     /// Whether some member of `config`'s orbit is present. (A rare-path
@@ -1444,34 +1462,53 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         protocol: &P,
         config: &Configuration<P>,
     ) -> bool {
-        match self.buckets.get(&key) {
-            None => false,
-            Some(bucket) => self.orbit_hits_bucket(protocol, bucket, config),
-        }
+        let mut ids = Vec::new();
+        let interned = self.table.lookup_into(config, &mut ids);
+        let ids = interned.then_some(ids.as_slice());
+        let tables = self.tables(protocol, config);
+        self.table
+            .find(key, |row| {
+                Self::orbit_hits(
+                    protocol,
+                    config,
+                    &self.renamings,
+                    tables,
+                    &self.table,
+                    ids,
+                    row,
+                )
+            })
+            .0
+            .is_none()
     }
 
     /// Number of distinct orbits inserted.
     pub fn len(&self) -> usize {
-        self.len
+        self.table.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Exact-equality comparisons performed by the fallback path.
+    /// Stored representatives compared by the fallback path of inserting
+    /// probes.
     pub fn fallback_comparisons(&self) -> usize {
-        self.fallback_comparisons
+        self.table.fallback_comparisons()
+    }
+
+    /// Heap bytes the set holds: slot table, id tuples and intern tables.
+    pub fn bytes(&self) -> usize {
+        self.table.bytes()
     }
 }
 
 impl<P: Protocol> std::fmt::Debug for CanonicalVisitedSet<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CanonicalVisitedSet")
-            .field("len", &self.len)
             .field("group_order", &self.group_order())
-            .field("fallback_comparisons", &self.fallback_comparisons)
+            .field("table", &self.table)
             .finish()
     }
 }
@@ -1560,8 +1597,18 @@ impl<P: Protocol> DedupSet<P> {
         }
     }
 
-    /// The configuration's (orbit) bucket key — the routing key of the
-    /// striped sharded set ([`crate::shard`]). Crate-internal.
+    /// Heap bytes the store holds: slot table, id tuples and intern
+    /// tables (see [`VisitedSet::bytes`]).
+    pub fn bytes(&self) -> usize {
+        match self {
+            DedupSet::Exact(set) => set.bytes(),
+            DedupSet::Reduced(set) => set.bytes(),
+        }
+    }
+
+    /// The configuration's routing key in the striped sharded set
+    /// ([`crate::shard`]): the masked fingerprint of an exact set, the
+    /// orbit key of a reduced one. Crate-internal.
     pub(crate) fn key_of(&self, protocol: &P, config: &Configuration<P>) -> u64 {
         match self {
             DedupSet::Exact(set) => set.key_of(config),
@@ -1578,16 +1625,29 @@ impl<P: Protocol> DedupSet<P> {
         }
     }
 
-    /// Insert with the routing key already computed. Crate-internal.
-    pub(crate) fn insert_prekeyed(
+    /// One probe with the routing key already computed: `None` if the
+    /// configuration (or its orbit) is present, else where it goes, for
+    /// [`DedupSet::fill`]. A reduced set files under `key`; an exact set
+    /// files under its own id-tuple key and used `key` only to be routed
+    /// here. Crate-internal.
+    pub(crate) fn probe(
         &mut self,
         key: u64,
         protocol: &P,
         config: &Configuration<P>,
-    ) -> bool {
+    ) -> Option<Vacancy> {
         match self {
-            DedupSet::Exact(set) => set.insert_prekeyed(key, config),
-            DedupSet::Reduced(set) => set.insert_prekeyed(key, protocol, config),
+            DedupSet::Exact(set) => set.probe(config),
+            DedupSet::Reduced(set) => set.probe(key, protocol, config),
+        }
+    }
+
+    /// Store `config` where the probe just before found room for it.
+    /// Crate-internal.
+    pub(crate) fn fill(&mut self, vacancy: Vacancy, config: &Configuration<P>) {
+        match self {
+            DedupSet::Exact(set) => set.fill(vacancy, config),
+            DedupSet::Reduced(set) => set.fill(vacancy, config),
         }
     }
 
@@ -1599,7 +1659,7 @@ impl<P: Protocol> DedupSet<P> {
         config: &Configuration<P>,
     ) -> bool {
         match self {
-            DedupSet::Exact(set) => set.contains_prekeyed(key, config),
+            DedupSet::Exact(set) => set.contains(config),
             DedupSet::Reduced(set) => set.contains_prekeyed(key, protocol, config),
         }
     }

@@ -252,6 +252,12 @@ impl<P: Protocol> Configuration<P> {
         self.status(pid).decision()
     }
 
+    /// All process statuses, indexed by process id (crate-internal; the
+    /// visited-state store interns them one by one).
+    pub(crate) fn statuses(&self) -> &[ProcStatus<P::State>] {
+        &self.procs
+    }
+
     /// Decisions of all processes, indexed by process id.
     pub fn decisions(&self) -> Vec<Option<u64>> {
         self.procs.iter().map(|s| s.decision()).collect()
@@ -624,9 +630,10 @@ impl<P: Protocol> Configuration<P> {
     }
 
     /// A compact fingerprint of the configuration (object values + process
-    /// statuses), used by the exploration engines' visited sets. Computed
-    /// with FxHash — fast and deterministic, but *not* injective;
-    /// [`crate::search::VisitedSet`] layers an exact-state fallback on top.
+    /// statuses): the stripe-routing key of the sharded visited set and the
+    /// key of the checker's memo maps. Computed with FxHash — fast and
+    /// deterministic, but *not* injective; every user compares exactly on a
+    /// key hit.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = fxhash::FxHasher::default();

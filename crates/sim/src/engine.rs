@@ -114,6 +114,16 @@ impl Budget {
     }
 }
 
+/// The visited-state store at the end of one engine run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StoreSize {
+    /// Distinct configurations (orbits, under reduction) discovered.
+    pub states: usize,
+    /// Heap bytes the store held ([`DedupSet::bytes`], summed over the
+    /// stripes of a sharded run, so it depends on the thread count).
+    pub bytes: usize,
+}
+
 /// Aggregate counters of one engine run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SearchStats {
@@ -511,8 +521,8 @@ impl Engine {
     /// discovery order, which under symmetry reduction reproduces the same
     /// orbit representatives.
     ///
-    /// `dedup` must be empty. Returns the run's stats and the number of
-    /// distinct configurations (orbits) discovered.
+    /// `dedup` must be empty. Returns the run's stats and the size of its
+    /// visited-state store.
     ///
     /// # Errors
     ///
@@ -536,7 +546,7 @@ impl Engine {
         visitors: &mut [V],
         resume: Option<&SearchImage>,
         ckpt: Option<Checkpointing<'_>>,
-    ) -> Result<(SearchStats, usize), ResumeError>
+    ) -> Result<(SearchStats, StoreSize), ResumeError>
     where
         P: Protocol,
         E: Expansion<P> + Send,
@@ -571,7 +581,11 @@ impl Engine {
             visitors,
             ckpt,
         );
-        Ok((stats, striped.len()))
+        let store = StoreSize {
+            states: striped.len(),
+            bytes: striped.bytes(),
+        };
+        Ok((stats, store))
     }
 
     /// The inline driver: pop the FIFO queue, expand each node through the
@@ -586,7 +600,7 @@ impl Engine {
         visitor: &mut V,
         resume: Option<&SearchImage>,
         mut ckpt: Option<Checkpointing<'_>>,
-    ) -> Result<(SearchStats, usize), ResumeError>
+    ) -> Result<(SearchStats, StoreSize), ResumeError>
     where
         P: Protocol,
         E: Expansion<P>,
@@ -639,7 +653,11 @@ impl Engine {
                 }
             }
         }
-        Ok((inline.stats, inline.dedup.len()))
+        let store = StoreSize {
+            states: inline.dedup.len(),
+            bytes: inline.dedup.bytes(),
+        };
+        Ok((inline.stats, store))
     }
 }
 
@@ -1076,7 +1094,7 @@ impl AdversarySynthesis {
             objective: &objective,
             best: None,
         };
-        let (stats, states) = Engine::new(self.budget)
+        let (stats, store) = Engine::new(self.budget)
             .run_min_depth(
                 protocol,
                 initial.clone(),
@@ -1092,7 +1110,7 @@ impl AdversarySynthesis {
             best_score,
             schedule,
             config,
-            states,
+            states: store.states,
             // The depth horizon *defines* a synthesis search (racing
             // protocols are unbounded); only a state budget — or
             // a skipped step error — genuinely truncates it.
@@ -1151,6 +1169,7 @@ mod tests {
                 None,
                 None,
             )
+            .map(|(stats, store)| (stats, store.states))
             .unwrap()
     }
 
@@ -1492,7 +1511,7 @@ mod tests {
         visitor: &mut Recorder,
         resume: Option<&SearchImage>,
         ckpt: Option<Checkpointing<'_>>,
-    ) -> Result<(SearchStats, usize), ResumeError> {
+    ) -> Result<(SearchStats, StoreSize), ResumeError> {
         Engine::new(Budget::new(10, 10_000)).run_min_depth(
             &TwoProcessSwapConsensus,
             init(&[0, 1]),

@@ -264,7 +264,7 @@ impl ModelChecker {
             .collect();
         // `f = 0` makes `CrashBounded` the identity wrapper, so the
         // failure-free checker takes this same path.
-        let (stats, _) = engine.run_min_depth(
+        let (stats, store) = engine.run_min_depth(
             protocol,
             initial.clone(),
             dedup,
@@ -310,6 +310,7 @@ impl ModelChecker {
             complete,
             deepest: stats.deepest,
             peak_frontier: stats.peak_frontier,
+            store_bytes: store.bytes,
             symmetry_group,
             symmetry_degraded,
             solo_memo_hits,
@@ -503,6 +504,7 @@ impl ModelChecker {
             complete: true,
             deepest: 0,
             peak_frontier: 0,
+            store_bytes: 0,
             symmetry_group: 1,
             symmetry_degraded: false,
             solo_memo_hits: 0,
@@ -519,6 +521,7 @@ impl ModelChecker {
                 aggregate.complete &= report.complete;
                 aggregate.deepest = aggregate.deepest.max(report.deepest);
                 aggregate.peak_frontier = aggregate.peak_frontier.max(report.peak_frontier);
+                aggregate.store_bytes += report.store_bytes;
                 aggregate.symmetry_group = aggregate.symmetry_group.max(report.symmetry_group);
                 aggregate.symmetry_degraded |= report.symmetry_degraded;
                 aggregate.solo_memo_hits += report.solo_memo_hits;
@@ -729,6 +732,7 @@ type SoloMemoEntry<P> = (
 /// nothing else), so the cache is sound by construction. Same discipline as
 /// the visited sets: an FxHash fingerprint selects a bucket, exact equality
 /// on the key decides a hit, so correctness never rests on hash quality.
+/// Unlike the visited sets it still holds whole keys, not interned ids.
 /// Object vectors are stored as copy-on-write handles (refcount bumps, no
 /// value copies).
 struct SoloMemo<P: Protocol> {
@@ -831,6 +835,12 @@ pub struct CheckReport {
     pub deepest: usize,
     /// Largest pending-frontier size observed (memory high-water mark).
     pub peak_frontier: usize,
+    /// Heap bytes the visited-state store held at the end of the safety
+    /// sweep (summed over the input vectors of
+    /// [`ModelChecker::check_all_inputs`]). Like `peak_frontier` it is a
+    /// measurement, not part of the verdict: it depends on the thread
+    /// count.
+    pub store_bytes: usize,
     /// Order of the symmetry group the visited set deduplicated by (1 = no
     /// reduction; `states` then counts orbits, not raw configurations).
     pub symmetry_group: usize,

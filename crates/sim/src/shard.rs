@@ -234,17 +234,18 @@ impl<P: Protocol> StripedDedup<P> {
     /// and parity requires the same here (even for `max_states == 0`).
     pub fn insert_root(&self, protocol: &P, config: &Configuration<P>) {
         let key = self.keyer.key_of(protocol, config);
-        let fresh = self
-            .stripe_of(key)
-            .lock()
-            .expect("stripe poisoned")
-            .insert_prekeyed(key, protocol, config);
-        assert!(fresh, "the root must be the first insert");
+        let mut stripe = self.stripe_of(key).lock().expect("stripe poisoned");
+        let vacancy = stripe
+            .probe(key, protocol, config)
+            .expect("the root must be the first insert");
+        stripe.fill(vacancy, config);
         self.discovered.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Budget-bounded insert; see [`StripedInsert`] for the four outcomes
-    /// and the order of checks they encode.
+    /// and the order of checks they encode. One probe under the stripe
+    /// lock finds the configuration or its vacant slot, and the slot is
+    /// filled only once the budget CAS has reserved it.
     ///
     /// The only cross-stripe coupling is the budget counter, and it is
     /// exact: a slot is reserved by CAS before the store, so concurrent
@@ -256,13 +257,13 @@ impl<P: Protocol> StripedDedup<P> {
     pub fn insert(&self, protocol: &P, config: &Configuration<P>) -> StripedInsert {
         let key = self.keyer.key_of(protocol, config);
         let mut stripe = self.stripe_of(key).lock().expect("stripe poisoned");
-        if stripe.contains_prekeyed(key, protocol, config) {
+        let Some(vacancy) = stripe.probe(key, protocol, config) else {
             return if self.discovered.load(Ordering::SeqCst) >= self.max_states {
                 StripedInsert::BudgetDuplicate
             } else {
                 StripedInsert::Duplicate
             };
-        }
+        };
         let reserved = self
             .discovered
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| {
@@ -270,8 +271,7 @@ impl<P: Protocol> StripedDedup<P> {
             });
         match reserved {
             Ok(_) => {
-                let fresh = stripe.insert_prekeyed(key, protocol, config);
-                debug_assert!(fresh, "insert under the stripe lock after a miss");
+                stripe.fill(vacancy, config);
                 StripedInsert::New
             }
             Err(_) => StripedInsert::BudgetNew,
@@ -306,6 +306,14 @@ impl<P: Protocol> StripedDedup<P> {
     /// symmetry (see [`crate::Canonicalizer::degraded`]).
     pub fn degraded(&self) -> bool {
         self.keyer.degraded()
+    }
+
+    /// Heap bytes held by the stripes' stores (see [`DedupSet::bytes`]).
+    pub fn bytes(&self) -> usize {
+        self.stripes
+            .iter()
+            .map(|s| s.lock().expect("stripe poisoned").bytes())
+            .sum()
     }
 
     /// Exact-equality fallback comparisons summed across stripes.

@@ -5,6 +5,8 @@
 //! checker in `swapcons-sim/src/explore.rs`; these are the property-based
 //! whole-zoo versions.)
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use swapcons::baselines::{BinaryRacing, CommitAdoptConsensus, ReadableRacing, RegisterKSet};
@@ -12,9 +14,10 @@ use swapcons::core::hierarchy::TasConsensus;
 use swapcons::core::pairs::PairsKSet;
 use swapcons::core::SwapKSet;
 use swapcons::lower::ValencyOracle;
-use swapcons::sim::canon::CanonicalVisitedSet;
+use swapcons::sim::canon::{apply_renaming, CanonicalVisitedSet};
 use swapcons::sim::explore::ModelChecker;
 use swapcons::sim::scheduler::SeededRandom;
+use swapcons::sim::search::VisitedSet;
 use swapcons::sim::testing::{SelfishConsensus, TwoProcessSwapConsensus};
 use swapcons::sim::{runner, Canonicalizer, Configuration, ProcessId, Protocol};
 
@@ -294,4 +297,163 @@ fn reduced_bounded_verdict_matches_exact() {
     assert!(reduced.passed() && !reduced.complete, "{reduced}");
     assert!(reduced.states < exact.states, "{exact} vs {reduced}");
     assert_eq!(reduced.deepest, exact.deepest);
+}
+
+/// Every configuration met by seeded random walks of `p` from `inputs`,
+/// repeats included: each walk runs until no process can step (or for at
+/// most 200 steps) and then restarts from the initial configuration. With
+/// `crashes`, a step crashes the chosen process instead about one time in
+/// twenty, so `Crashed` statuses occur next to `Running` and `Decided` ones.
+fn walk_configs<P: Protocol>(
+    p: &P,
+    inputs: &[u64],
+    seed: u64,
+    walks: usize,
+    crashes: bool,
+) -> Vec<Configuration<P>> {
+    let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move |bound: usize| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % bound as u64) as usize
+    };
+    let mut out = Vec::new();
+    for _ in 0..walks {
+        let mut config = Configuration::initial(p, inputs).unwrap();
+        out.push(config.clone());
+        for _ in 0..200 {
+            let running = config.running();
+            if running.is_empty() {
+                break;
+            }
+            let pid = running[next(running.len())];
+            if crashes && next(20) == 0 {
+                config.crash(pid).unwrap();
+            } else {
+                config.step_quiet(p, pid).unwrap();
+            }
+            out.push(config.clone());
+        }
+    }
+    out
+}
+
+/// `VisitedSet` answers every insert exactly as a `HashSet` of whole
+/// configurations does, at full keys and with every key masked to `0`
+/// (all tuples under one key, so only the tuple comparison decides).
+fn visited_set_matches_hash_set<P: Protocol>(configs: &[Configuration<P>]) {
+    for mask in [u64::MAX, 0] {
+        let mut set = VisitedSet::with_fingerprint_mask(mask);
+        let mut reference = HashSet::new();
+        for (i, c) in configs.iter().enumerate() {
+            assert_eq!(
+                set.insert(c),
+                reference.insert(c.clone()),
+                "insert {i} at mask {mask:#x}: {c:?}"
+            );
+        }
+        assert_eq!(set.len(), reference.len(), "mask {mask:#x}");
+        assert!(configs.iter().all(|c| set.contains(c)), "mask {mask:#x}");
+        assert!(reference.len() > 1, "the walks must reach several states");
+    }
+}
+
+/// The compact store is exact: on random walks of three protocols — one
+/// with lap-vector objects, two with crash edges, so running, decided and
+/// crashed statuses all occur — its insert answers equal a `HashSet`'s.
+#[test]
+fn visited_set_is_exact_on_random_walks() {
+    for seed in 0..4 {
+        let racing = walk_configs(
+            &BinaryRacing::with_track_len(3, 8),
+            &[0, 1, 0],
+            seed,
+            12,
+            true,
+        );
+        let statuses: Vec<_> = racing.iter().flat_map(|c| c.decisions_iter()).collect();
+        assert!(statuses.iter().any(Option::is_some), "a process decides");
+        assert!(
+            racing.iter().any(|c| c.num_crashed() > 0),
+            "a process crashes"
+        );
+        assert!(
+            racing.iter().any(|c| !c.running().is_empty()),
+            "a process runs"
+        );
+        visited_set_matches_hash_set(&racing);
+        visited_set_matches_hash_set(&walk_configs(
+            &SwapKSet::consensus(3, 2),
+            &[0, 1, 1],
+            seed,
+            12,
+            false,
+        ));
+        visited_set_matches_hash_set(&walk_configs(
+            &TwoProcessSwapConsensus,
+            &[0, 1],
+            seed,
+            12,
+            true,
+        ));
+    }
+}
+
+/// `CanonicalVisitedSet` answers every insert as a brute-force orbit set
+/// does (a `HashSet` holding every group image of every new
+/// configuration), with every orbit key masked to `0` and unmasked.
+fn canonical_set_matches_orbit_set<P: Protocol>(
+    p: &P,
+    inputs: &[u64],
+    configs: &[Configuration<P>],
+) {
+    let canon = Canonicalizer::for_inputs(p, inputs);
+    assert!(canon.group_order() > 1, "{} {inputs:?}", p.name());
+    for mask in [u64::MAX, 0] {
+        let mut set = CanonicalVisitedSet::new(canon.clone()).with_fingerprint_mask(mask);
+        let mut orbits = HashSet::new();
+        let mut count = 0;
+        for (i, c) in configs.iter().enumerate() {
+            let new = !orbits.contains(c);
+            if new {
+                count += 1;
+                orbits.insert(c.clone());
+                for g in canon.renamings() {
+                    orbits.insert(apply_renaming(p, g, c));
+                }
+            }
+            assert_eq!(
+                set.insert(p, c),
+                new,
+                "{} insert {i} at mask {mask:#x}: {c:?}",
+                p.name()
+            );
+        }
+        assert_eq!(set.len(), count);
+        assert!(configs.iter().all(|c| set.contains(p, c)));
+    }
+}
+
+/// The orbit-keyed store is exact too: its fallback reads stored
+/// representatives back through the intern tables, and its answers equal
+/// a brute-force orbit set's on random walks with crash edges.
+#[test]
+fn canonical_set_is_exact_on_random_walks() {
+    for seed in 0..4 {
+        let p = BinaryRacing::with_track_len(3, 8);
+        canonical_set_matches_orbit_set(
+            &p,
+            &[0, 1, 0],
+            &walk_configs(&p, &[0, 1, 0], seed, 12, true),
+        );
+        let p = SwapKSet::consensus(3, 2);
+        canonical_set_matches_orbit_set(
+            &p,
+            &[1, 1, 1],
+            &walk_configs(&p, &[1, 1, 1], seed, 12, true),
+        );
+        let p = TwoProcessSwapConsensus;
+        canonical_set_matches_orbit_set(&p, &[0, 1], &walk_configs(&p, &[0, 1], seed, 12, true));
+    }
 }
